@@ -45,16 +45,21 @@ def balance_penalty(target: Sequence[int], occupancy: Sequence[int]) -> float:
 
 
 class SearchBudget:
-    """Node-visit counter shared by cooperating searches, with an optional deadline."""
+    """Node-visit counter shared by cooperating searches, with an optional deadline.
+
+    ``time_limit`` is in seconds; only None means no deadline.
+    """
 
     __slots__ = ("limit", "spent", "deadline")
 
     def __init__(self, limit: int, time_limit: float | None = None):
         if limit < 1:
             raise ValueError("budget must be positive")
+        if time_limit is not None and not time_limit > 0:
+            raise ValueError(f"time limit must be positive, got {time_limit}")
         self.limit = limit
         self.spent = 0
-        self.deadline = time.monotonic() + time_limit if time_limit else None
+        self.deadline = time.monotonic() + time_limit if time_limit is not None else None
 
     def spend(self) -> None:
         self.spent += 1

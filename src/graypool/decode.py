@@ -6,11 +6,22 @@ in play). Any other positive-pool count proves an experimental error; the
 decoder then narrows the field to the pairs and items still consistent with
 the observation under a false-negative model (observed pools are a subset of
 the truth) or a false-positive model (observed pools are a superset).
+
+The error path does not scan the code. It enumerates every union and
+address mask that could be consistent with the observation and looks each
+one up in the decoder's mask tables, so its cost depends on m, r and the
+observation but not on the code length n. For k observed pools that is
+C(m-k, r+1-k) union supersets after a false negative and C(k, r+1) union
+subsets after a false positive. When the enumeration would need more
+lookups than the code has masks, as for an empty observation, the decoder
+scans the code instead, so no outcome costs more than O(n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 from typing import Iterable
 
 from .codes import GrayCode
@@ -67,8 +78,114 @@ class DecodeResult:
         }
 
 
+def _bit_sums(bits: list[int], t: int) -> list[int]:
+    """Every mask made of t (0 <= t <= len(bits)) of the ascending
+    single-bit masks ``bits``.
+
+    Each partial sum grows only by bits above its highest bit (b > s), so
+    every t-subset is built once. Above half the bits, the complements of
+    the smaller subsets are cheaper to build.
+    """
+    if 2 * t > len(bits):
+        total = sum(bits)
+        return [total - s for s in _bit_sums(bits, len(bits) - t)]
+    if t == 1:
+        return bits
+    sums = [0]
+    for _ in range(t):
+        sums = [s | b for s in sums for b in bits if b > s]
+    return sums
+
+
+class _MaskLookup:
+    """Finds the masks of one list that lie near an observation.
+
+    Holds the decoder's mask list and its mask -> last position index, not
+    copies of them. A query enumerates every mask of a weight present in the
+    list that could qualify and looks it up in the index; when that would
+    take more lookups than the list has masks, it scans the list instead.
+    The weights present and the earlier positions of repeated masks (invalid
+    codes only) are found on the first query, so a decoder that only ever
+    sees exact outcomes never pays for them.
+    """
+
+    __slots__ = ("m", "masks", "index", "_bits", "_weights", "_repeats")
+
+    def __init__(self, m: int, masks: list[int], index: dict[int, int]):
+        self.m = m
+        self.masks = masks
+        self.index = index
+        self._bits: list[int] = []
+        self._weights: list[int] | None = None
+        self._repeats: dict[int, list[int]] = {}
+
+    def near(self, pmask: int, outside: int, cover: bool = False) -> list[int]:
+        """Ascending 1-based positions of the masks with at most ``outside``
+        pools outside ``pmask`` that, when ``cover`` is set, also contain
+        every pool of ``pmask``."""
+        found = self._lookup(pmask, outside, cover)
+        return self._scan(pmask, outside, cover) if found is None else found
+
+    def _lookup(self, pmask: int, outside: int, cover: bool) -> list[int] | None:
+        """``near`` by enumeration, or None when that would take more lookups
+        than the list has masks. Bits of ``pmask`` above pool m are never
+        enumerated: no mask contains them."""
+        if self._weights is None:
+            self._prepare()
+        m = self.m
+        full = (1 << m) - 1
+        low = pmask & full
+        if cover and low != pmask:
+            return []
+        k = low.bit_count()
+        # A qualifying mask of weight w takes w-t pools of the observation
+        # and t pools outside it.
+        shapes = []
+        cost = 0
+        for w in self._weights:
+            for t in range(max(0, w - k), min(outside, m - k, w - k if cover else w) + 1):
+                shapes.append((w - t, t))
+                cost += comb(k, w - t) * comb(m - k, t)
+        if cost > len(self.masks):
+            return None
+        inside = [b for b in self._bits if b & low]
+        rest = [b for b in self._bits if not b & low]
+        get = self.index.get
+        found = []
+        for a, t in shapes:
+            heads = _bit_sums(inside, a)
+            found += [
+                j for tail in _bit_sums(rest, t) for h in heads if (j := get(h | tail)) is not None
+            ]
+        if self._repeats:
+            found += [i for j in found for i in self._repeats.get(self.masks[j - 1], ())]
+        found.sort()
+        return found
+
+    def _scan(self, pmask: int, outside: int, cover: bool) -> list[int]:
+        if cover:
+            return [
+                j
+                for j, x in enumerate(self.masks, 1)
+                if not pmask & ~x and (x & ~pmask).bit_count() <= outside
+            ]
+        if outside == 0:
+            return [j for j, x in enumerate(self.masks, 1) if not x & ~pmask]
+        return [
+            j for j, x in enumerate(self.masks, 1) if (x & ~pmask).bit_count() <= outside
+        ]
+
+    def _prepare(self) -> None:
+        self._bits = [1 << i for i in range(self.m)]
+        self._weights = sorted(set(map(int.bit_count, self.masks)))
+        if len(self.index) < len(self.masks):
+            for j, x in enumerate(self.masks, 1):
+                if self.index[x] != j:
+                    self._repeats.setdefault(x, []).append(j)
+
+
 class PoolDecoder:
-    """Reusable decoder for one code; precomputes the union lookup table."""
+    """Reusable decoder for one code; precomputes the mask lookup tables."""
 
     def __init__(self, code: GrayCode):
         self.code = code
@@ -81,6 +198,8 @@ class PoolDecoder:
         ]
         self.union_index = {u: j + 1 for j, u in enumerate(self.union_masks)}
         self.addr_index = {a: j + 1 for j, a in enumerate(self.addr_masks)}
+        self.union_lookup = _MaskLookup(self.m, self.union_masks, self.union_index)
+        self.addr_lookup = _MaskLookup(self.m, self.addr_masks, self.addr_index)
 
     def decode(self, positives: "Outcome | Iterable[int]", allow_single: bool = True) -> DecodeResult:
         if isinstance(positives, Outcome):
@@ -107,20 +226,14 @@ class PoolDecoder:
             return self._false_positive(pmask, k, allow_single)
 
         # k <= r: a single item (k == r) or a pair shadowed by false negatives.
-        pairs = [
-            j + 1
-            for j, u in enumerate(self.union_masks)
-            if pmask & ~u == 0
-        ]
+        pairs = self.union_lookup.near(pmask, self.m, cover=True)
         items = set()
         for j in pairs:
             items.add(j)
             items.add(j + 1)
         single = None
         if allow_single:
-            items.update(
-                j + 1 for j, a in enumerate(self.addr_masks) if pmask & ~a == 0
-            )
+            items.update(self.addr_lookup.near(pmask, self.m, cover=True))
             if k == r:
                 single = self.addr_index.get(pmask)
         if single is not None:
@@ -141,17 +254,13 @@ class PoolDecoder:
     def _false_positive(self, pmask: int, k: int, allow_single: bool) -> DecodeResult:
         # The truth must hide inside the observed pools: unions (and, when
         # singles are in play, addresses) contained in the observation.
-        pairs = [
-            j + 1 for j, u in enumerate(self.union_masks) if u & ~pmask == 0
-        ]
+        pairs = self.union_lookup.near(pmask, 0)
         items = set()
         for j in pairs:
             items.add(j)
             items.add(j + 1)
         if allow_single:
-            items.update(
-                j + 1 for j, a in enumerate(self.addr_masks) if a & ~pmask == 0
-            )
+            items.update(self.addr_lookup.near(pmask, 0))
         return DecodeResult(
             ERROR_FALSE_POSITIVE,
             None,

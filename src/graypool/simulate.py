@@ -57,10 +57,12 @@ def simulate_sweep(
 
     Exhaustive mode enumerates every pair and every e-subset of injectable
     pools, (n-1)*C(r+1, e) trials per level for false negatives. Sampled mode
-    draws ``samples`` trials per level with the seeded generator. Mode
-    ``auto`` picks exhaustive when the total exhaustive trial count stays
-    under 10^6 and sampling otherwise. Decoding runs in pure pair-detection
-    mode unless ``allow_single`` is set.
+    draws ``samples`` trials per level with the seeded generator and needs
+    ``samples >= 1``. Mode ``auto`` picks exhaustive when the total
+    exhaustive trial count stays under 10^6 and sampling otherwise.
+    Decoding runs in pure pair-detection mode unless ``allow_single`` is set.
+    Candidates within the error budget are looked up, not scanned; see
+    ``graypool.decode``.
     """
     if code.n < 2:
         raise ValueError("sweep needs a code with at least one consecutive pair")
@@ -79,10 +81,15 @@ def simulate_sweep(
         )
     if mode not in ("exhaustive", "sampled", "auto"):
         raise ValueError(f"unknown mode {mode!r}")
+    pool_count = code.r + 1 if error_type == FALSE_NEGATIVE else code.m - (code.r + 1)
+    if mode == "auto":
+        total = sum((code.n - 1) * comb(pool_count, e) for e in range(max_errors + 1))
+        mode = "exhaustive" if total <= _AUTO_TRIAL_CEILING else "sampled"
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"sampled mode needs at least 1 sample per error level, got {samples}")
 
     decoder = PoolDecoder(code)
     unions = decoder.union_masks
-    addresses = decoder.addr_masks
     full = (1 << code.m) - 1
 
     def candidate_count(pmask: int) -> int:
@@ -91,15 +98,8 @@ def simulate_sweep(
         if budget <= 0:
             return len(result.candidate_items)
         items = set(result.candidate_items)
-        items.update(
-            j for j, a in enumerate(addresses, 1) if (a & ~pmask).bit_count() <= budget
-        )
+        items.update(decoder.addr_lookup.near(pmask, budget))
         return len(items)
-
-    pool_count = code.r + 1 if error_type == FALSE_NEGATIVE else code.m - (code.r + 1)
-    if mode == "auto":
-        total = sum(len(unions) * comb(pool_count, e) for e in range(max_errors + 1))
-        mode = "exhaustive" if total <= _AUTO_TRIAL_CEILING else "sampled"
 
     rng = random.Random(seed)
     records = []

@@ -9,8 +9,10 @@ from graypool import (
     balance_target,
     bba,
     length_bound,
+    rcbba,
     validate,
 )
+from graypool.bba import SearchBudget
 
 
 def test_balance_target_spreads_remainder():
@@ -66,6 +68,23 @@ def test_parameter_errors():
 def test_budget_exhaustion_raises():
     with pytest.raises(BudgetExhaustedError):
         bba(5, 2, 10, budget=5)
+
+
+@pytest.mark.parametrize("time_limit", [0, 0.0, -1, -0.5, float("nan")])
+def test_time_limit_must_be_positive(time_limit):
+    with pytest.raises(ValueError, match="time limit"):
+        SearchBudget(10, time_limit)
+    with pytest.raises(ValueError, match="time limit"):
+        bba(5, 2, 10, time_limit=time_limit)
+    with pytest.raises(ValueError, match="time limit"):
+        rcbba(6, 2, 12, time_limit=time_limit)
+
+
+def test_only_none_means_no_time_limit():
+    assert SearchBudget(10).deadline is None
+    assert SearchBudget(10, None).deadline is None
+    assert SearchBudget(10, 5.0).deadline is not None
+    assert validate(bba(5, 2, 10, time_limit=60)).is_valid
 
 
 def test_deterministic_across_runs():

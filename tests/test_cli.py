@@ -120,3 +120,28 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "graypool" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_simulate_rejects_fewer_than_one_sample(tmp_path, capsys, samples):
+    code_path = tmp_path / "c.json"
+    main(["construct", "--alg", "bba", "--m", "8", "--r", "3", "--n", "25", "--out", str(code_path)])
+    capsys.readouterr()
+    assert main([
+        "simulate", "--code", str(code_path), "--max-errors", "1",
+        "--mode", "sampled", "--samples", samples,
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "at least 1 sample" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("alg", ["bba", "rcbba"])
+@pytest.mark.parametrize("time_limit", ["0", "-2.5"])
+def test_construct_rejects_non_positive_time_limit(capsys, alg, time_limit):
+    assert main([
+        "construct", "--alg", alg, "--m", "6", "--r", "2", "--n", "12",
+        "--time-limit", time_limit,
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "time limit must be positive" in err

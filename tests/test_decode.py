@@ -1,9 +1,10 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from graypool import Outcome, PoolDecoder, decode, partition_items
+from graypool import GrayCode, Outcome, PoolDecoder, decode, partition_items
+from graypool.decode import DecodeResult, _MaskLookup
 
 
 def test_exact_pair(code_5_2_10):
@@ -157,3 +158,112 @@ def test_partition_properties(n_items, d):
     assert max(sizes) - min(sizes) <= 1
     for (_, prev_end), (start, _) in zip(groups, groups[1:]):
         assert start == prev_end + 1
+
+
+def scan_decode(code: GrayCode, pmask: int, allow_single: bool) -> DecodeResult:
+    """Reference decoder: scans every union and address for each outcome."""
+    r = code.r
+    addresses = list(code.bitmasks())
+    unions = [a | b for a, b in zip(addresses, addresses[1:])]
+    union_index = {u: j for j, u in enumerate(unions, 1)}
+    addr_index = {a: j for j, a in enumerate(addresses, 1)}
+    k = pmask.bit_count()
+    if k == r + 1 and pmask in union_index:
+        j = union_index[pmask]
+        return DecodeResult("exact-pair", (j, j + 1), None, 0, (j, j + 1), (j,))
+    if k >= r + 1:
+        pairs = [j for j, u in enumerate(unions, 1) if u & ~pmask == 0]
+        items = {i for j in pairs for i in (j, j + 1)}
+        if allow_single:
+            items.update(j for j, a in enumerate(addresses, 1) if a & ~pmask == 0)
+        return DecodeResult(
+            "error-false-positive", None, None, max(1, k - (r + 1)),
+            tuple(sorted(items)), tuple(pairs),
+        )
+    pairs = [j for j, u in enumerate(unions, 1) if pmask & ~u == 0]
+    items = {i for j in pairs for i in (j, j + 1)}
+    single = None
+    if allow_single:
+        items.update(j for j, a in enumerate(addresses, 1) if pmask & ~a == 0)
+        if k == r:
+            single = addr_index.get(pmask)
+    if single is not None:
+        if pairs:
+            return DecodeResult("ambiguous", None, single, 0, tuple(sorted(items)), tuple(pairs))
+        return DecodeResult("exact-single", None, single, 0, (single,), ())
+    return DecodeResult(
+        "error-false-negative", None, None, r + 1 - k, tuple(sorted(items)), tuple(pairs)
+    )
+
+
+@st.composite
+def small_codes(draw):
+    """Short codes over at most 6 pools, valid or not: a few distinct masks,
+    mostly of weight r, drawn with repetition so that duplicates are common."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    r = draw(st.integers(min_value=0, max_value=m))
+    weight_r = st.sets(st.integers(0, m - 1), min_size=r, max_size=r).map(
+        lambda pools: sum(1 << p for p in pools)
+    )
+    any_mask = st.integers(0, (1 << m) - 1)
+    pool = draw(st.lists(st.one_of(weight_r, weight_r, any_mask), min_size=1, max_size=8))
+    masks = draw(st.lists(st.sampled_from(pool), max_size=16))
+    return GrayCode.from_bitmasks(m, r, masks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_codes(), st.data())
+def test_indexed_decode_matches_scan(code, data):
+    # Outcomes may light pools above m; they count toward k but match nothing.
+    pmask = data.draw(st.integers(0, (1 << (code.m + 2)) - 1), label="pmask")
+    decoder = PoolDecoder(code)
+    for allow_single in (True, False):
+        assert decoder.decode_mask(pmask, allow_single) == scan_decode(code, pmask, allow_single)
+    for lookup in (decoder.union_lookup, decoder.addr_lookup):
+        for outside in range(code.m + 1):
+            for cover in (False, True):
+                expected = lookup._scan(pmask, outside, cover)
+                found = lookup._lookup(pmask, outside, cover)
+                event("scan fallback" if found is None else "enumerated")
+                assert lookup.near(pmask, outside, cover) == expected
+                if found is not None:
+                    assert found == expected
+
+
+@pytest.mark.parametrize(
+    "m, r, masks, pmask",
+    [
+        (3, 0, [0, 0, 1], 16),  # a pool above m lifts k to r+1 but matches no union
+        (3, 1, [1, 2, 4, 2], 0b1010),  # pool 4 above m: no union contains it
+        (4, 2, [3, 6, 12, 6, 3], 0b0110),  # repeated addresses and unions
+        (4, 2, [3, 7, 12, 1, 15], 0b0011),  # mixed weights
+    ],
+)
+def test_indexed_decode_matches_scan_on_invalid_codes(m, r, masks, pmask):
+    code = GrayCode.from_bitmasks(m, r, masks)
+    decoder = PoolDecoder(code)
+    for allow_single in (True, False):
+        assert decoder.decode_mask(pmask, allow_single) == scan_decode(code, pmask, allow_single)
+
+
+def test_lookup_falls_back_to_scan_only_above_n(code_6_2_15, monkeypatch):
+    scans = []
+    scan = _MaskLookup._scan
+    monkeypatch.setattr(
+        _MaskLookup, "_scan", lambda self, *args: scans.append(args) or scan(self, *args)
+    )
+    decoder = PoolDecoder(code_6_2_15)
+    masks = list(code_6_2_15.bitmasks())
+    union = masks[0] | masks[1]
+    dropped = union & (union - 1)
+    # 14 unions of weight 3 over 6 pools. One dropout: C(4, 1) = 4 supersets.
+    assert decoder.decode_mask(dropped, False) == scan_decode(code_6_2_15, dropped, False)
+    # Two extra pools: C(5, 3) = 10 subsets.
+    extra = union | (0b111111 & ~union) & ((0b111111 & ~union) - 1)
+    assert extra.bit_count() == 5
+    assert decoder.decode_mask(extra, False) == scan_decode(code_6_2_15, extra, False)
+    assert scans == []
+    # An empty outcome has C(6, 3) = 20 supersets and the full one 20 subsets.
+    assert decoder.decode_mask(0, False) == scan_decode(code_6_2_15, 0, False)
+    assert decoder.decode_mask(0b111111, False) == scan_decode(code_6_2_15, 0b111111, False)
+    assert len(scans) == 2

@@ -1,9 +1,10 @@
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from graypool import bba, simulate_sweep, sweep_to_csv, write_sweep_csv
-from graypool.simulate import CSV_COLUMNS
+from graypool import GrayCode, bba, simulate_sweep, sweep_to_csv, write_sweep_csv
+from graypool.simulate import CSV_COLUMNS, SimSweepRecord
 
 
 @pytest.fixture(scope="module")
@@ -82,3 +83,73 @@ def test_csv_output(medium_code, tmp_path):
     path = tmp_path / "sweep.csv"
     write_sweep_csv(records, path)
     assert path.read_text() == text
+
+
+def brute_force_sweep(code, max_errors, error_type, allow_single):
+    """Exhaustive sweep records from the definition of the candidate count.
+
+    An error-free outcome pins its pair. After dropouts leave k observed
+    pools, an item counts if its address has at most r+1-k pools outside
+    them; on a valid code every pair and item the decoder keeps passes this
+    test. After extra pools, the items of a pair count if its union lies
+    inside the observation, and with single positives also an item whose
+    address does.
+    """
+    m, r = code.m, code.r
+    addresses = list(code.bitmasks())
+    unions = [a | b for a, b in zip(addresses, addresses[1:])]
+    records = []
+    for e in range(max_errors + 1):
+        counts = []
+        for u in unions:
+            if error_type == "false-negative":
+                flippable = [1 << p for p in range(m) if u >> p & 1]
+            else:
+                flippable = [1 << p for p in range(m) if not u >> p & 1]
+            for flips in combinations(flippable, e):
+                observed = u ^ sum(flips)
+                if e == 0:
+                    counts.append(2)
+                elif error_type == "false-negative":
+                    budget = r + 1 - observed.bit_count()
+                    counts.append(
+                        sum((a & ~observed).bit_count() <= budget for a in addresses)
+                    )
+                else:
+                    items = set()
+                    for j, v in enumerate(unions, 1):
+                        if v & ~observed == 0:
+                            items.update((j, j + 1))
+                    if allow_single:
+                        items.update(
+                            j for j, a in enumerate(addresses, 1) if a & ~observed == 0
+                        )
+                    counts.append(len(items))
+        mean = sum(counts) / len(counts)
+        records.append(
+            SimSweepRecord(code.n, e, len(counts), mean, max(counts), mean / code.n)
+        )
+    return records
+
+
+@pytest.mark.parametrize("error_type", ["false-negative", "false-positive"])
+@pytest.mark.parametrize("allow_single", [False, True])
+def test_sweep_matches_brute_force(medium_code, code_6_2_15, error_type, allow_single):
+    for code in (medium_code, code_6_2_15):
+        top = code.r if error_type == "false-negative" else code.m - code.r - 1
+        records = simulate_sweep(
+            code, top, mode="exhaustive", allow_single=allow_single, error_type=error_type
+        )
+        assert records == brute_force_sweep(code, top, error_type, allow_single)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sampled_mode_rejects_fewer_than_one_sample(medium_code, samples):
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        simulate_sweep(medium_code, 1, mode="sampled", samples=samples)
+    # Auto mode checks the count only when it picks sampling.
+    assert simulate_sweep(medium_code, 1, mode="auto", samples=samples)[1].trials > 0
+    # 4 pairs and 18 injectable pools: 4 * 2^18 trials exceed the auto ceiling.
+    wide = GrayCode.from_index_sets(20, 1, [(1,), (2,), (3,), (4,), (5,)])
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        simulate_sweep(wide, 18, mode="auto", samples=samples, error_type="false-positive")
