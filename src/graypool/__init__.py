@@ -31,12 +31,10 @@ from .errors import (
     NoJoiningAddressError,
 )
 from .validate import ValidationReport, Violation, validate
-from .bba import DEFAULT_BUDGET, SearchBudget, balance_penalty, balance_target, bba
+from .bba import DEFAULT_BUDGET, SearchBudget, balance_target, bba
 from .recombine import (
-    AugmentedCode,
     CombinationTrace,
     apply_row_permutation,
-    augment,
     build_maximal,
     combine_pair,
     find_closing_union,

@@ -1,25 +1,38 @@
 """Branch-and-bound construction of balanced codes.
 
-The constructor runs a depth-first search over the bipartite graph whose
-nodes are the weight-r addresses and the weight-(r+1) unions of adjacent
-addresses. From an address the next node is one of its unused unions; from a
-union the next node is one of its unused weight-r subsets. Candidates are
-tried in ascending order of a balance penalty, the variance of the gap
-between a per-pool occupancy target and the occupancy of the path extended
-by the candidate, so the search greedily keeps pool usage level and
-backtracks out of dead ends. Node visits are charged against a budget, which
-makes runs deterministic and hardware independent.
+A code is a path in the bipartite graph whose nodes are the weight-r
+addresses and the weight-(r+1) unions of adjacent addresses: from an
+address the path steps to one of its unused unions, and from a union to one
+of its unused weight-r subsets. ``_path_search`` is the one depth-first
+walk over that graph. It keeps the path, the set of addresses and unions
+the path uses, and the path's per-pool occupancy. It charges every address
+it enters to a ``SearchBudget`` and takes three hooks: the candidate order
+at the tip, a prune test and a goal test. bba runs it, and so do both
+exhaustive oracles in ``graypool.oracle``.
+
+bba orders candidates to keep pool usage level. From an address ``a`` the
+union ``a | {z}`` is ranked by ``w[z] - target[z]`` ascending, and from a
+union ``u`` the address ``u`` minus ``{x}`` by ``target[x] - w[x]``
+ascending, where ``w`` is the occupancy of the path so far and ``target``
+the per-pool occupancy target; ties go to the smaller mask. This per-pool
+key orders the candidates exactly as the variance of ``target`` minus the
+occupancy of the path extended by the candidate would, since the
+candidates differ in one pool. The first union after the start address is
+drawn at random. The order hook charges each union it opens, so union and
+address visits both count against the budget, which makes runs
+deterministic and hardware independent. A path that reaches n addresses is
+the code; a dead end backtracks.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from itertools import combinations
-from typing import Sequence
+from itertools import chain, combinations, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .codes import Address, GrayCode, length_bound
-from .errors import BudgetExhaustedError, ConstructionError, InfeasibleError
+from .codes import Address, GrayCode, length_bound, set_bits
+from .errors import BudgetExhaustedError, InfeasibleError
 from .validate import validate
 
 DEFAULT_BUDGET = 10**6
@@ -33,15 +46,6 @@ def balance_target(m: int, r: int, n: int) -> tuple[int, ...]:
     """
     w, rem = divmod(r * n, m)
     return tuple(w + 1 if i < rem else w for i in range(m))
-
-
-def balance_penalty(target: Sequence[int], occupancy: Sequence[int]) -> float:
-    """Population variance of the residual vector ``target - occupancy``."""
-    if len(target) != len(occupancy):
-        raise ValueError("vectors must have equal length")
-    residual = [t - o for t, o in zip(target, occupancy)]
-    mean = sum(residual) / len(residual)
-    return sum((x - mean) ** 2 for x in residual) / len(residual)
 
 
 class SearchBudget:
@@ -70,123 +74,111 @@ class SearchBudget:
                 raise BudgetExhaustedError("time limit exceeded")
 
 
+def _check_request(m: int, r: int, n: int) -> None:
+    """Reject an (m, r, n) request that no search needs to run for."""
+    if not 1 <= r < m:
+        raise ValueError(f"weight must satisfy 1 <= r < m, got r={r}, m={m}")
+    if n < 1:
+        raise ValueError(f"length must be positive, got {n}")
+    if n > length_bound(m, r):
+        raise InfeasibleError(
+            f"n={n} exceeds the length bound {length_bound(m, r)} for (m={m}, r={r})"
+        )
+
+
+def _weight_masks(m: int, r: int) -> Iterator[int]:
+    """Every weight-r mask over m pools, in ascending index-tuple order."""
+    for combo in combinations(range(m), r):
+        yield sum(1 << c for c in combo)
+
+
 def _path_search(
     m: int,
-    r: int,
-    n: int,
     start: int,
-    target: Sequence[int],
-    rng: random.Random,
     budget: SearchBudget,
-    union_bits_in_penalty: bool,
+    order: Callable[[list[int], set[int], list[int]], Iterable[int]],
+    prune: Callable[[list[int], list[int]], bool] | None,
+    goal: Callable[[list[int], list[int]], bool],
 ) -> list[int] | None:
-    """Exhaustive depth-first search for a full-length path starting at ``start``.
+    """Depth-first search over the address paths that begin at ``start``.
 
-    Returns the address bitmasks on success, or None once the subtree rooted
-    at ``start`` is exhausted. The very first union after ``start`` is chosen
-    at random; every later branching is ordered by penalty with ties kept in
-    ascending index order.
+    ``order(path, used, w)`` yields the addresses ``b`` to try after the
+    path's tip, best first, leaving out those the path already uses and
+    those whose union ``tip | b`` it uses. ``used`` holds the path's
+    addresses and unions (their weights differ) and ``w`` its per-pool
+    occupancy. The kernel consumes ``order`` lazily, and the path is back
+    in the same state each time it asks for the next address. Every address entered, ``start``
+    included, is charged to ``budget`` before ``goal(path, w)`` is asked; a
+    true goal ends the search and returns the path. Otherwise
+    ``prune(path, w)``, when given, can refuse to extend the path. Returns
+    None once every path from ``start`` is exhausted. ``order`` may charge
+    visits of its own, as bba does for each union it opens.
+    """
+    path: list[int] = []
+    used: set[int] = set()
+    w = [0] * m
+    spend, enter, leave = budget.spend, used.add, used.discard
+    # Per path address, plus one ahead of the start: the candidates not yet
+    # tried. The start is its own union, which keeps the loop uniform.
+    frames: list[Iterator[int]] = [iter((start,))]
+    tip = 0
+    while frames:
+        b = next(frames[-1], -1)
+        if b < 0:
+            frames.pop()
+            if path:
+                a = path.pop()
+                tip = path[-1] if path else 0
+                leave(a)
+                leave(tip | a)
+                for i in set_bits(a):
+                    w[i] -= 1
+            continue
+        spend()
+        path.append(b)
+        enter(b)
+        enter(tip | b)
+        tip = b
+        for i in set_bits(b):
+            w[i] += 1
+        if goal(path, w):
+            return path
+        if prune is not None and prune(path, w):
+            frames.append(iter(()))
+        else:
+            frames.append(iter(order(path, used, w)))
+    return None
+
+
+def _balance_order(
+    m: int, target: Sequence[int], rng: random.Random, budget: SearchBudget
+) -> Callable[[list[int], set[int], list[int]], Iterator[int]]:
+    """bba's candidate order: unions, then their addresses, by the per-pool key.
+
+    Each union opened is charged to ``budget``. At the start address the
+    first union is drawn from ``rng`` and the rest follow by key.
     """
     full = (1 << m) - 1
-    budget.spend()
-    if n == 1:
-        return [start]
 
-    w = [0] * m
-    bits = start
-    while bits:
-        low = bits & -bits
-        w[low.bit_length() - 1] += 1
-        bits ^= low
-    visited_a = {start}
-    visited_u: set[int] = set()
-    apath = [start]
-
-    # The variance penalty compares candidates that share every pool of the
-    # current path plus the current tip, so its ordering reduces to a single
-    # per-pool key: for a union a|{z} the key is w[z]-target[z] ascending, for
-    # an address u\{x} it is target[x]-w[x] ascending.
-    def union_options(a: int) -> list[tuple[int, int]]:
-        out = []
-        free = full & ~a
-        while free:
-            low = free & -free
-            free ^= low
-            u = a | low
-            if u not in visited_u:
-                z = low.bit_length() - 1
-                key = w[z] - target[z] if union_bits_in_penalty else 0
-                out.append((key, u))
-        return out
-
-    def union_candidates(a: int) -> list[int]:
-        out = union_options(a)
-        out.sort(key=lambda kv: kv[0])
-        return [u for _, u in out]
-
-    def address_candidates(u: int) -> list[int]:
-        xs = []
-        rem = u
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            xs.append(low)
-        out = []
-        for low in reversed(xs):
-            b = u ^ low
-            if b not in visited_a:
-                x = low.bit_length() - 1
-                out.append((target[x] - w[x], b))
-        out.sort(key=lambda kv: kv[0])
-        return [b for _, b in out]
-
-    first_options = union_options(start)
-    if not first_options:
-        return None
-    pick = rng.randrange(len(first_options))
-    first_union = first_options.pop(pick)[1]
-    first_options.sort(key=lambda kv: kv[0])
-    ordered = [first_union] + [u for _, u in first_options]
-
-    # Each frame holds a node on the path and its pending candidate list;
-    # True marks an address node (whose candidates are unions).
-    frames: list[list] = [[True, start, ordered, 0]]
-    while frames:
-        frame = frames[-1]
-        cands = frame[2]
-        i = frame[3]
-        if i >= len(cands):
-            frames.pop()
-            node = frame[1]
-            if frame[0]:
-                visited_a.discard(node)
-                apath.pop()
-                bits = node
-                while bits:
-                    low = bits & -bits
-                    w[low.bit_length() - 1] -= 1
-                    bits ^= low
-            else:
-                visited_u.discard(node)
-            continue
-        frame[3] = i + 1
-        node = cands[i]
+    def addresses(u: int, used: set[int], w: list[int]) -> list[int]:
         budget.spend()
-        if frame[0]:
-            visited_u.add(node)
-            frames.append([False, node, address_candidates(node), 0])
-        else:
-            visited_a.add(node)
-            apath.append(node)
-            bits = node
-            while bits:
-                low = bits & -bits
-                w[low.bit_length() - 1] += 1
-                bits ^= low
-            if len(apath) == n:
-                return list(apath)
-            frames.append([True, node, union_candidates(node), 0])
-    return None
+        keyed = [(target[x] - w[x], b) for x in set_bits(u) if (b := u ^ 1 << x) not in used]
+        keyed.sort()
+        return [b for _, b in keyed]
+
+    def order(path: list[int], used: set[int], w: list[int]) -> Iterator[int]:
+        a = path[-1]
+        keyed = [
+            (w[z] - target[z], u) for z in set_bits(full ^ a) if (u := a | 1 << z) not in used
+        ]
+        first = keyed.pop(rng.randrange(len(keyed))) if len(path) == 1 and keyed else None
+        keyed.sort()
+        unions = [u for _, u in keyed]
+        if first is not None:
+            unions.insert(0, first[1])
+        return chain.from_iterable(map(addresses, unions, repeat(used), repeat(w)))
+
+    return order
 
 
 def _construct_masks(
@@ -197,33 +189,22 @@ def _construct_masks(
     target: Sequence[int],
     rng: random.Random,
     budget: SearchBudget,
-    union_bits_in_penalty: bool,
 ) -> list[int]:
-    """Run the path search, falling back over alternative start addresses.
+    """Run the balance-guided path search, falling back over start addresses.
 
     When no start address is pinned, the first attempt starts from a uniform
     random draw and, if its whole subtree is exhausted, every remaining
     start is tried in ascending index order; within budget the search is
     therefore complete and a final failure proves infeasibility.
     """
-
-    def starts():
-        if first_mask is not None:
-            yield first_mask
-            return
-        drawn = 0
-        for p in rng.sample(range(m), r):
-            drawn |= 1 << p
-        yield drawn
-        for combo in combinations(range(m), r):
-            mask = 0
-            for c in combo:
-                mask |= 1 << c
-            if mask != drawn:
-                yield mask
-
-    for a1 in starts():
-        found = _path_search(m, r, n, a1, target, rng, budget, union_bits_in_penalty)
+    order = _balance_order(m, target, rng, budget)
+    if first_mask is not None:
+        starts: Iterable[int] = (first_mask,)
+    else:
+        drawn = sum(1 << p for p in rng.sample(range(m), r))
+        starts = chain((drawn,), (a1 for a1 in _weight_masks(m, r) if a1 != drawn))
+    for a1 in starts:
+        found = _path_search(m, a1, budget, order, None, lambda path, w: len(path) == n)
         if found is not None:
             return found
     if first_mask is not None:
@@ -242,7 +223,6 @@ def bba(
     *,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
-    union_bits_in_penalty: bool = True,
     time_limit: float | None = None,
 ) -> GrayCode:
     """Construct an (m, r, n) code by balance-guided depth-first search.
@@ -250,10 +230,7 @@ def bba(
     ``first_address`` pins the first address; otherwise it is drawn uniformly
     from the weight-r vectors using ``seed``. ``target_balance`` is the
     per-pool occupancy target; it defaults to the near-uniform target of
-    ``balance_target``. ``union_bits_in_penalty`` controls whether a candidate
-    union's own bits count toward the occupancy used in its penalty (the
-    default) or are excluded, in which case unions tie and are tried in
-    ascending index order.
+    ``balance_target``.
 
     Raises InfeasibleError when ``n`` exceeds the length bound or the
     exhaustive search proves no code exists, and BudgetExhaustedError when
@@ -263,14 +240,7 @@ def bba(
     exactly ``consecutive_unions(code)``, since each step's union joins the
     two addresses around it.
     """
-    if not 1 <= r < m:
-        raise ValueError(f"weight must satisfy 1 <= r < m, got r={r}, m={m}")
-    if n < 1:
-        raise ValueError(f"length must be positive, got {n}")
-    if n > length_bound(m, r):
-        raise InfeasibleError(
-            f"n={n} exceeds the length bound {length_bound(m, r)} for (m={m}, r={r})"
-        )
+    _check_request(m, r, n)
     if first_address is not None:
         if first_address.m != m:
             raise ValueError("first address length does not match m")
@@ -297,7 +267,6 @@ def bba(
         target_balance,
         rng,
         state,
-        union_bits_in_penalty,
     )
     code = GrayCode.from_bitmasks(m, r, masks)
     report = validate(code)

@@ -77,6 +77,14 @@ def cmd_bound(args) -> int:
     return 0
 
 
+# The optional construct options each algorithm uses; any other is an error.
+_TAKES = {
+    "bba": ("--n", "--first-address", "--time-limit"),
+    "rcbba": ("--n", "--time-limit"),
+    "maximal": (),
+}
+
+
 def cmd_construct(args) -> int:
     started = time.monotonic()
     params = {
@@ -88,8 +96,15 @@ def cmd_construct(args) -> int:
         "seed": args.seed,
         "budget": args.budget,
         "time_limit": args.time_limit,
-        "union_penalty": args.union_penalty,
     }
+    given = {
+        "--n": args.n,
+        "--first-address": args.first_address,
+        "--time-limit": args.time_limit,
+    }
+    ignored = [f for f, value in given.items() if value is not None and f not in _TAKES[args.alg]]
+    if ignored:
+        raise ValueError(f"--alg {args.alg} does not take {', '.join(ignored)}")
     extra = None
     if args.alg == "maximal":
         code = build_maximal(args.m, args.r, seed=args.seed, budget=args.budget)
@@ -107,7 +122,6 @@ def cmd_construct(args) -> int:
                 first,
                 seed=args.seed,
                 budget=args.budget,
-                union_bits_in_penalty=args.union_penalty == "include",
                 time_limit=args.time_limit,
             )
         else:
@@ -211,16 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", choices=["bba", "rcbba", "maximal"], required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=None, help="code length, bba and rcbba")
     p.add_argument("--first-address", default=None, help="comma-separated pool indices, bba only")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="node-visit budget")
-    p.add_argument("--time-limit", type=float, default=None, help="wall-clock cap in seconds")
     p.add_argument(
-        "--union-penalty",
-        choices=["include", "exclude"],
-        default="include",
-        help="count a candidate union's own bits toward its balance penalty",
+        "--time-limit", type=float, default=None, help="wall-clock cap in seconds, bba and rcbba"
     )
     p.add_argument("--out", default=None, help="output file (.json or .csv); default stdout JSON")
     p.set_defaults(func=cmd_construct)

@@ -20,7 +20,6 @@ scans the code instead, so no outcome costs more than O(n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Iterable
 
@@ -86,14 +85,15 @@ def _bit_sums(bits: list[int], t: int) -> list[int]:
     every t-subset is built once. Above half the bits, the complements of
     the smaller subsets are cheaper to build.
     """
-    if 2 * t > len(bits):
-        total = sum(bits)
-        return [total - s for s in _bit_sums(bits, len(bits) - t)]
     if t == 1:
         return bits
+    k = min(t, len(bits) - t)
     sums = [0]
-    for _ in range(t):
+    for _ in range(k):
         sums = [s | b for s in sums for b in bits if b > s]
+    if k < t:
+        total = sum(bits)
+        sums = [total - s for s in sums]
     return sums
 
 

@@ -2,17 +2,22 @@
 
 Complete depth-first enumerations over all weight-r addresses, used to pin
 down the exact maximum code length and the exact optimum balance deviation
-that the heuristic constructors are measured against. Exponential by design;
-keep the address count small.
+that the heuristic constructors are measured against. Both run on bba's
+path-search kernel: from each address they try the next addresses in
+ascending index-tuple order, skip used addresses and unions, and charge
+every address visit to a ``SearchBudget`` whose limit is the node limit;
+``search_nodes`` is the number of visits. Exponential by design; keep the
+address count small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from typing import Callable
 
-from .codes import GrayCode, length_bound
-from .errors import InfeasibleError, NodeLimitError
+from .bba import SearchBudget, _check_request, _path_search, _weight_masks
+from .codes import GrayCode, length_bound, set_bits
+from .errors import BudgetExhaustedError, InfeasibleError, NodeLimitError
 
 DEFAULT_NODE_LIMIT = 10**7
 
@@ -31,41 +36,54 @@ class OracleResult:
     is_exact: bool
 
 
-class _LimitReached(Exception):
-    pass
+def _index_order(path: list[int], used: set[int], w: list[int]) -> list[int]:
+    """The unused addresses ``b = a - x + z`` next to the tip ``a`` whose
+    union ``a + z`` is unused too, in ascending index-tuple order.
 
-
-class _Done(Exception):
-    pass
-
-
-def _neighbors(m: int, r: int) -> dict[int, list[tuple[int, int]]]:
-    """For each weight-r mask, the (next address, union) moves in index order."""
-    table: dict[int, list[tuple[int, int]]] = {}
-    for combo in combinations(range(m), r):
-        a = 0
-        for c in combo:
-            a |= 1 << c
-        moves = []
-        for z in range(m):
-            zbit = 1 << z
-            if a & zbit:
-                continue
-            u = a | zbit
-            for x in combo[::-1]:
-                moves.append((u ^ (1 << x), u))
-        moves.sort(key=lambda bu: _index_key(bu[0]))
-        table[a] = moves
-    return table
-
-
-def _index_key(mask: int) -> tuple[int, ...]:
+    The ``b`` with ``z < x`` sort first, by ``z`` ascending and then ``x``
+    descending; the rest follow by ``x`` descending and then ``z`` ascending.
+    """
+    a = path[-1]
+    fresh = [z for z in set_bits(a ^ (1 << len(w)) - 1) if a | 1 << z not in used]
+    inside = set_bits(a)[::-1]
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)
+    for z in fresh:
+        for x in inside:
+            if x < z:
+                break
+            if (b := a ^ (1 << x | 1 << z)) not in used:
+                out.append(b)
+    for x in inside:
+        for z in fresh:
+            if z > x and (b := a ^ (1 << x | 1 << z)) not in used:
+                out.append(b)
+    return out
+
+
+def _search(
+    m: int,
+    r: int,
+    node_limit: int,
+    fix_first_address: bool,
+    prune: Callable[[list[int], list[int]], bool] | None,
+    goal: Callable[[list[int], list[int]], bool],
+) -> tuple[bool, int]:
+    """Run the kernel from each start until ``goal`` holds or every start is done.
+
+    Returns whether the search finished within ``node_limit`` and the
+    number of nodes it visited.
+    """
+    if node_limit < 1:
+        raise ValueError(f"node limit must be positive, got {node_limit}")
+    budget = SearchBudget(node_limit)
+    starts = [(1 << r) - 1] if fix_first_address else _weight_masks(m, r)
+    try:
+        for start in starts:
+            if _path_search(m, start, budget, _index_order, prune, goal) is not None:
+                break
+    except BudgetExhaustedError:
+        return False, budget.spent
+    return True, budget.spent
 
 
 def exhaustive_max(
@@ -85,50 +103,16 @@ def exhaustive_max(
     if not 1 <= r <= m:
         raise ValueError(f"weight {r} out of range 1..{m}")
     bound = length_bound(m, r)
-    table = _neighbors(m, r)
-    starts = (
-        [sum(1 << i for i in range(r))]
-        if fix_first_address
-        else sorted(table, key=_index_key)
-    )
-
     best: list[int] = []
-    nodes = 0
-    path: list[int] = []
-    used_a: set[int] = set()
-    used_u: set[int] = set()
 
-    def dfs(a: int) -> None:
-        nonlocal nodes, best
-        nodes += 1
-        if nodes > node_limit:
-            raise _LimitReached
-        path.append(a)
-        used_a.add(a)
+    def goal(path: list[int], w: list[int]) -> bool:
+        nonlocal best
         if len(path) > len(best):
             best = list(path)
-            if len(best) == bound:
-                raise _Done
-        for b, u in table[a]:
-            if b in used_a or u in used_u:
-                continue
-            used_u.add(u)
-            dfs(b)
-            used_u.discard(u)
-        path.pop()
-        used_a.discard(a)
+        return len(best) == bound
 
-    exact = True
-    try:
-        for start in starts:
-            dfs(start)
-    except _Done:
-        pass
-    except _LimitReached:
-        exact = False
-
-    witness = GrayCode.from_bitmasks(m, r, best)
-    return OracleResult(len(best), witness, nodes, exact)
+    exact, nodes = _search(m, r, node_limit, fix_first_address, None, goal)
+    return OracleResult(len(best), GrayCode(m, r, tuple(best)), nodes, exact)
 
 
 def exhaustive_best_balance(
@@ -147,84 +131,36 @@ def exhaustive_best_balance(
     the limit is hit before the enumeration finishes and InfeasibleError
     when no valid code of that length exists.
     """
-    if not 1 <= r < m:
-        raise ValueError(f"weight must satisfy 1 <= r < m, got r={r}, m={m}")
-    if n < 1:
-        raise ValueError(f"length must be positive, got {n}")
-    if n > length_bound(m, r):
-        raise InfeasibleError(
-            f"n={n} exceeds the length bound {length_bound(m, r)} for (m={m}, r={r})"
-        )
+    _check_request(m, r, n)
     floor_dev = 0 if (n * r) % m == 0 else 1
-    table = _neighbors(m, r)
-    starts = (
-        [sum(1 << i for i in range(r))]
-        if fix_first_address
-        else sorted(table, key=_index_key)
-    )
-
     best_dev: int | None = None
     best_code: list[int] | None = None
-    nodes = 0
-    path: list[int] = []
-    counts = [0] * m
-    used_a: set[int] = set()
-    used_u: set[int] = set()
 
-    def dfs(a: int) -> None:
-        nonlocal nodes, best_dev, best_code
-        nodes += 1
-        if nodes > node_limit:
-            raise _LimitReached
-        path.append(a)
-        used_a.add(a)
-        bits = a
-        while bits:
-            low = bits & -bits
-            counts[low.bit_length() - 1] += 1
-            bits ^= low
-        try:
-            if len(path) == n:
-                dev = max(counts) - min(counts)
-                if best_dev is None or dev < best_dev:
-                    best_dev = dev
-                    best_code = list(path)
-                    if dev == floor_dev:
-                        raise _Done
-                return
-            # A pool already ahead by more than the remaining additions can
-            # never be caught; prune when even the optimistic finish loses.
-            if best_dev is not None and max(counts) - min(counts) - (n - len(path)) >= best_dev:
-                return
-            for b, u in table[a]:
-                if b in used_a or u in used_u:
-                    continue
-                used_u.add(u)
-                dfs(b)
-                used_u.discard(u)
-        finally:
-            path.pop()
-            used_a.discard(a)
-            bits = a
-            while bits:
-                low = bits & -bits
-                counts[low.bit_length() - 1] -= 1
-                bits ^= low
+    def goal(path: list[int], w: list[int]) -> bool:
+        nonlocal best_dev, best_code
+        if len(path) < n:
+            return False
+        dev = max(w) - min(w)
+        if best_dev is None or dev < best_dev:
+            best_dev = dev
+            best_code = list(path)
+        return best_dev == floor_dev
 
-    try:
-        for start in starts:
-            dfs(start)
-    except _Done:
-        pass
-    except _LimitReached:
-        partial = (
-            GrayCode.from_bitmasks(m, r, best_code) if best_code is not None else None
+    def prune(path: list[int], w: list[int]) -> bool:
+        # A full-length path ends here. A pool already ahead by more than the
+        # remaining additions can never be caught; prune when even the
+        # optimistic finish loses.
+        return len(path) == n or (
+            best_dev is not None and max(w) - min(w) - (n - len(path)) >= best_dev
         )
+
+    exact, _ = _search(m, r, node_limit, fix_first_address, prune, goal)
+    if not exact:
+        partial = GrayCode(m, r, tuple(best_code)) if best_code is not None else None
         raise NodeLimitError(
             f"node limit {node_limit} reached before the enumeration finished",
             best=partial,
         )
-
     if best_code is None:
         raise InfeasibleError(f"no valid ({m},{r},{n}) code exists")
-    return GrayCode.from_bitmasks(m, r, best_code)
+    return GrayCode(m, r, tuple(best_code))

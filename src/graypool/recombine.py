@@ -17,66 +17,32 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
-from .bba import DEFAULT_BUDGET, SearchBudget, _construct_masks, balance_target
+from .bba import (
+    DEFAULT_BUDGET,
+    SearchBudget,
+    _check_request,
+    _construct_masks,
+    balance_target,
+)
 from .codes import (
     Address,
     GrayCode,
     balance_of,
-    consecutive_unions,
     indices_from_mask,
     length_bound,
+    set_bits,
 )
 from .errors import (
     BudgetExhaustedError,
     ClosingUnionNotFoundError,
     CombinePreconditionError,
     ConstructionError,
-    InfeasibleError,
     NoJoiningAddressError,
 )
 from .validate import validate
-
-
-@dataclass(frozen=True)
-class AugmentedCode:
-    """A code extended by constant rows: '+' appends an all-one row, '-' an all-zero row."""
-
-    base: GrayCode
-    row_order: tuple[str, ...]
-
-    def __post_init__(self):
-        for op in self.row_order:
-            if op not in ("+", "-"):
-                raise ValueError(f"augmentation op must be '+' or '-', got {op!r}")
-        object.__setattr__(self, "row_order", tuple(self.row_order))
-
-    @property
-    def plus_rows(self) -> int:
-        return self.row_order.count("+")
-
-    @property
-    def minus_rows(self) -> int:
-        return self.row_order.count("-")
-
-    @cached_property
-    def code(self) -> GrayCode:
-        """The augmented code: pool count m + len(row_order), weight r + plus_rows."""
-        m = self.base.m + len(self.row_order)
-        ones = 0
-        for offset, op in enumerate(self.row_order):
-            if op == "+":
-                ones |= 1 << (self.base.m + offset)
-        masks = [bits | ones for bits in self.base.bitmasks()]
-        return GrayCode.from_bitmasks(m, self.base.r + self.plus_rows, masks)
-
-
-def augment(code: GrayCode, ops: Iterable[str] | str) -> AugmentedCode:
-    """Append one constant row per entry of ``ops``, in order."""
-    return AugmentedCode(code, tuple(ops))
 
 
 def combine_pair(light: GrayCode, heavy: GrayCode) -> GrayCode:
@@ -97,22 +63,21 @@ def combine_pair(light: GrayCode, heavy: GrayCode) -> GrayCode:
         raise CombinePreconditionError(
             f"weights must differ by one: got {light.r} and {heavy.r}"
         )
-    tail = light.addresses[-1].bits
-    head = heavy.addresses[0].bits
+    tail = light.masks[-1]
+    head = heavy.masks[0]
     if tail | head != head:
         raise CombinePreconditionError(
             "subset condition failed: the last address of the lighter code is "
             "not contained in the first address of the heavier code"
         )
-    for j, u in enumerate(consecutive_unions(light), start=1):
-        if u.bits == head:
+    for j, u in enumerate(_unions(light), start=1):
+        if u == head:
             raise CombinePreconditionError(
                 f"joining union duplicates consecutive union {j} of the lighter code"
             )
     m = light.m + 1
     ones = 1 << (m - 1)
-    masks = [bits | ones for bits in light.bitmasks()] + list(heavy.bitmasks())
-    return GrayCode.from_bitmasks(m, heavy.r, masks)
+    return GrayCode(m, heavy.r, tuple(bits | ones for bits in light.masks) + heavy.masks)
 
 
 def apply_row_permutation(code: GrayCode, perm: Sequence[int]) -> GrayCode:
@@ -121,16 +86,14 @@ def apply_row_permutation(code: GrayCode, perm: Sequence[int]) -> GrayCode:
         raise ValueError(f"not a permutation of 1..{code.m}: {list(perm)}")
     table = [p - 1 for p in perm]
     return GrayCode.from_bitmasks(
-        code.m, code.r, [_remap_mask(bits, table) for bits in code.bitmasks()]
+        code.m, code.r, [_remap_mask(bits, table) for bits in code.masks]
     )
 
 
 def _remap_mask(mask: int, table: Sequence[int]) -> int:
     out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << table[low.bit_length() - 1]
-        mask ^= low
+    for i in set_bits(mask):
+        out |= 1 << table[i]
     return out
 
 
@@ -142,18 +105,17 @@ def find_closing_union(code: GrayCode) -> Address:
     """
     if code.n == 0:
         raise ValueError("cannot close an empty code")
-    used = {u.bits for u in consecutive_unions(code)}
-    last = code.addresses[-1].bits
-    for z in range(code.m):
-        bit = 1 << z
-        if last & bit:
-            continue
-        candidate = last | bit
-        if candidate not in used:
-            return Address(code.m, candidate)
-    raise ClosingUnionNotFoundError(
-        f"every weight-{code.r + 1} superset of the last address is already a union"
-    )
+    closing = _fresh_superset(code.m, code.masks[-1], set(_unions(code)))
+    if closing is None:
+        raise ClosingUnionNotFoundError(
+            f"every weight-{code.r + 1} superset of the last address is already a union"
+        )
+    return Address(code.m, closing)
+
+
+def _fresh_superset(m: int, mask: int, used: set[int]) -> int | None:
+    """The first ``mask | {z}`` in ascending z that is not in ``used``, if any."""
+    return next((u for z in range(m) if (u := mask | 1 << z) != mask and u not in used), None)
 
 
 def flip_complement(code: GrayCode, closing: Address) -> GrayCode:
@@ -168,16 +130,21 @@ def flip_complement(code: GrayCode, closing: Address) -> GrayCode:
         raise ValueError("cannot flip an empty code")
     if closing.m != code.m:
         raise ValueError("closing union length does not match the code")
-    last = code.addresses[-1].bits
+    last = code.masks[-1]
     if closing.bits | last != closing.bits:
         raise ValueError("closing union must contain the last address")
     if closing.weight != code.r + 1:
         raise ValueError(f"closing union must have weight {code.r + 1}")
-    if any(u.bits == closing.bits for u in consecutive_unions(code)):
+    path = _unions(code) + [closing.bits]
+    if closing.bits in path[:-1]:
         raise ValueError("closing union duplicates a consecutive union of the code")
     full = (1 << code.m) - 1
-    path = [u.bits for u in consecutive_unions(code)] + [closing.bits]
     return GrayCode.from_bitmasks(code.m, code.m - code.r - 1, [full ^ u for u in path])
+
+
+def _unions(code: GrayCode) -> list[int]:
+    """Masks of the code's consecutive unions."""
+    return [a | b for a, b in zip(code.masks, code.masks[1:])]
 
 
 @dataclass(frozen=True)
@@ -236,12 +203,37 @@ class _RecursiveCombiner:
         self.final_balance: tuple[int, ...] = ()
 
     def run(self) -> list[int]:
-        first_len = self.w_res[self.m - 1]
-        if not self._iterate(self.m, None, first_len):
-            raise NoJoiningAddressError(
-                f"all joining addresses exhausted for (m={self.m}, r={self.r}, n={self.n})"
-            )
-        return self.columns
+        """Place blocks from width m down, backtracking over joining addresses.
+
+        Each placed block keeps the joining addresses still to try for the
+        block after it; a block with none left is taken off again, and the
+        block before it tries its next one.
+        """
+        stack: list[tuple[tuple, Iterator[tuple[int, int]]]] = []
+        width, join_mask, comp_len = self.m, None, self.w_res[self.m - 1]
+        while True:
+            if width == self.final_width:
+                if self._final(width, join_mask):
+                    return self.columns
+            else:
+                placed = self._place_block(width, join_mask, comp_len)
+                if placed is not None:
+                    # A block that lands exactly on the target length finishes
+                    # the build without a closing regime.
+                    if len(self.columns) == self.n:
+                        return self.columns
+                    stack.append((placed, iter(self._join_candidates(width - 1))))
+            while stack:
+                step = next(stack[-1][1], None)
+                if step is not None:
+                    break
+                self._remove_block(*stack.pop()[0])
+            else:
+                raise NoJoiningAddressError(
+                    f"all joining addresses exhausted for (m={self.m}, r={self.r}, n={self.n})"
+                )
+            join_mask, comp_len = step
+            width = self.m - len(stack)
 
     def trace(self) -> CombinationTrace:
         return CombinationTrace(
@@ -253,10 +245,9 @@ class _RecursiveCombiner:
 
     # -- iteration ----------------------------------------------------------
 
-    def _iterate(self, width: int, join_mask: int | None, comp_len: int) -> bool:
-        """Place the block for the iteration with ``width`` active pools, then recurse."""
-        if width == self.final_width:
-            return self._final(width, join_mask)
+    def _place_block(self, width: int, join_mask: int | None, comp_len: int) -> tuple | None:
+        """Search and append the block for the iteration with ``width`` active
+        pools; returns what ``_remove_block`` needs, or None when no block exists."""
         try:
             elem = _construct_masks(
                 width - 1,
@@ -266,52 +257,32 @@ class _RecursiveCombiner:
                 balance_target(width - 1, self.r - 1, comp_len),
                 self.rng,
                 self.budget,
-                True,
             )
         except BudgetExhaustedError:
             raise
         except ConstructionError:
-            return False
+            return None
         table = self._block_permutation(width, elem[0], join_mask)
         ones = 1 << (width - 1)
         placed = [_remap_mask(bits | ones, table) for bits in elem]
         consumed_pool = table[width - 1] + 1
-        return self._append_block(placed, comp_len, consumed_pool, width)
-
-    def _append_block(self, placed, comp_len, consumed_pool, width) -> bool:
         added = self._push_columns(placed)
         for bits in placed:
-            rem = bits
-            while rem:
-                low = rem & -rem
-                self.w_res[low.bit_length() - 1] -= 1
-                rem ^= low
+            for i in set_bits(bits):
+                self.w_res[i] -= 1
         self.i_res.discard(consumed_pool)
         self.consumed.append(consumed_pool)
         self.lengths.append(comp_len)
+        return placed, added, consumed_pool
 
-        # A block that lands exactly on the target length finishes the build
-        # without a closing regime.
-        if len(self.columns) == self.n or self._descend(width - 1):
-            return True
-
+    def _remove_block(self, placed: list[int], added: list[int], consumed_pool: int) -> None:
         self.lengths.pop()
         self.consumed.pop()
         self.i_res.add(consumed_pool)
         for bits in placed:
-            rem = bits
-            while rem:
-                low = rem & -rem
-                self.w_res[low.bit_length() - 1] += 1
-                rem ^= low
+            for i in set_bits(bits):
+                self.w_res[i] += 1
         self._pop_columns(placed, added)
-        return False
-
-    def _descend(self, width: int) -> bool:
-        for join_mask, next_len in self._join_candidates(width):
-            if self._iterate(width, join_mask, next_len):
-                return True
-        return False
 
     def _final(self, width: int, join_mask: int | None) -> bool:
         """Closing regime: one balance-targeted search over the remaining pools."""
@@ -326,9 +297,7 @@ class _RecursiveCombiner:
         table = self._final_permutation(width, start, join_mask)
         target = tuple(self.w_res[table[i]] for i in range(width))
         try:
-            elem = _construct_masks(
-                width, self.r, need, start, target, self.rng, self.budget, True
-            )
+            elem = _construct_masks(width, self.r, need, start, target, self.rng, self.budget)
         except BudgetExhaustedError:
             raise
         except ConstructionError:
@@ -337,14 +306,7 @@ class _RecursiveCombiner:
         self._push_columns(placed)
         self.lengths.append(need)
         self.final_target = target
-        counts = [0] * width
-        for bits in elem:
-            rem = bits
-            while rem:
-                low = rem & -rem
-                counts[low.bit_length() - 1] += 1
-                rem ^= low
-        self.final_balance = tuple(counts)
+        self.final_balance = balance_of(GrayCode(width, self.r, elem)).counts
         return True
 
     # -- joining addresses ----------------------------------------------------
@@ -458,20 +420,13 @@ def rcbba_detailed(
     For r = 1, for m <= 2r, and for n*r < m the iterative regime degenerates
     and the whole code is built by one balance-targeted search.
     """
-    if not 1 <= r < m:
-        raise ValueError(f"weight must satisfy 1 <= r < m, got r={r}, m={m}")
-    if n < 1:
-        raise ValueError(f"length must be positive, got {n}")
-    if n > length_bound(m, r):
-        raise InfeasibleError(
-            f"n={n} exceeds the length bound {length_bound(m, r)} for (m={m}, r={r})"
-        )
+    _check_request(m, r, n)
     rng = random.Random(seed)
     state = SearchBudget(budget, time_limit)
     w_ini = balance_target(m, r, n)
 
     if m <= 2 * r or r == 1 or w_ini[m - 1] == 0:
-        masks = _construct_masks(m, r, n, None, w_ini, rng, state, True)
+        masks = _construct_masks(m, r, n, None, w_ini, rng, state)
         code = GrayCode.from_bitmasks(m, r, masks)
         trace = CombinationTrace(
             (n,), (), tuple(w_ini), balance_of(code).counts
@@ -525,40 +480,51 @@ def build_maximal(
         raise ValueError(f"pool count must be at least r+1, got m={m}, r={r}")
     rng = random.Random(seed)
     state = SearchBudget(budget)
-    memo: dict[tuple[int, int], tuple[GrayCode, Address]] = {}
     if m >= 2 * r + 1:
-        code, _ = _maximal_with_closing(m, r, memo, rng, state)
+        code, _ = _maximal_with_closing(m, r, rng, state)
     else:
-        code = _maximal_by_flip(m, r, memo, rng, state)
+        code = _maximal_by_flip(m, r, rng, state)
     report = validate(code)
     if not report.is_valid or code.n != length_bound(m, r):
         raise RuntimeError("internal error: maximal construction failed validation")
     return code
 
 
-def _maximal_with_closing(m, r, memo, rng, budget) -> tuple[GrayCode, Address]:
-    """Maximal (m, r) code for m >= 2r+1 together with a closing union."""
-    key = (m, r)
-    if key in memo:
-        return memo[key]
-    if r == 1:
-        code = GrayCode.from_bitmasks(m, 1, [1 << i for i in range(m)])
-        closing = Address.from_index_set(m, (1, m))
-    elif m == 2 * r + 1:
-        code, closing = _maximal_base(m, r, rng, budget)
-    else:
-        light, light_closing = _maximal_with_closing(m - 1, r - 1, memo, rng, budget)
-        heavy, heavy_closing = _maximal_with_closing(m - 1, r, memo, rng, budget)
-        perm = _alignment_permutation(
-            heavy.addresses[0].index_set, light_closing.index_set, m - 1
-        )
-        code = combine_pair(light, apply_row_permutation(heavy, perm))
-        # The heavy code's closing union survives the permutation, with the
-        # appended row at zero.
-        table = [p - 1 for p in perm]
-        closing = Address(m, _remap_mask(heavy_closing.bits, table))
-    memo[key] = (code, closing)
-    return code, closing
+def _maximal_with_closing(m, r, rng, budget) -> tuple[GrayCode, Address]:
+    """Maximal (m, r) code for m >= 2r+1 together with a closing union.
+
+    An (m', r') code above the bases is the (m'-1, r'-1) code combined with
+    the (m'-1, r') one. The codes that (m, r) needs are found first and then
+    built bottom up, in ascending (m', r'). That builds the searched bases
+    (2r'+1, r') in ascending r', the order in which a depth-first descent,
+    lighter code first, would reach them, so each draws the same numbers
+    from ``rng``.
+    """
+    needed = {(m, r)}
+    for mm in range(m, 2, -1):
+        for rr in range(r, 1, -1):
+            if (mm, rr) in needed and mm > 2 * rr + 1:
+                needed.update(((mm - 1, rr - 1), (mm - 1, rr)))
+    built: dict[tuple[int, int], tuple[GrayCode, Address]] = {}
+    for mm, rr in sorted(needed):
+        if rr == 1:
+            code = GrayCode.from_bitmasks(mm, 1, [1 << i for i in range(mm)])
+            closing = Address.from_index_set(mm, (1, mm))
+        elif mm == 2 * rr + 1:
+            code, closing = _maximal_base(mm, rr, rng, budget)
+        else:
+            light, light_closing = built[mm - 1, rr - 1]
+            heavy, heavy_closing = built[mm - 1, rr]
+            perm = _alignment_permutation(
+                indices_from_mask(heavy.masks[0]), light_closing.index_set, mm - 1
+            )
+            code = combine_pair(light, apply_row_permutation(heavy, perm))
+            # The heavy code's closing union survives the permutation, with the
+            # appended row at zero.
+            table = [p - 1 for p in perm]
+            closing = Address(mm, _remap_mask(heavy_closing.bits, table))
+        built[mm, rr] = code, closing
+    return built[m, r]
 
 
 def _maximal_base(m, r, rng, budget) -> tuple[GrayCode, Address]:
@@ -566,7 +532,7 @@ def _maximal_base(m, r, rng, budget) -> tuple[GrayCode, Address]:
     n = comb(m, r)
     target = balance_target(m, r, n)
     for _ in range(16):
-        masks = _construct_masks(m, r, n, None, target, rng, budget, True)
+        masks = _construct_masks(m, r, n, None, target, rng, budget)
         code = GrayCode.from_bitmasks(m, r, masks)
         for candidate in (code, GrayCode.from_bitmasks(m, r, masks[::-1])):
             try:
@@ -592,28 +558,20 @@ def _alignment_permutation(src: Sequence[int], dst: Sequence[int], m: int) -> li
     return perm
 
 
-def _maximal_by_flip(m, r, memo, rng, budget) -> GrayCode:
+def _maximal_by_flip(m, r, rng, budget) -> GrayCode:
     """Maximal (m, r) code for r+1 <= m <= 2r via a complemented union path."""
     full = (1 << m) - 1
     if r == m - 1:
         # One union fits: the all-one vector between the complements of two singletons.
         return GrayCode.from_bitmasks(m, r, [full ^ 1, full ^ 2])
     src_r = m - r - 1
-    src, tail = _maximal_with_closing(m, src_r, memo, rng, budget)
-    used = {u.bits for u in consecutive_unions(src)} | {tail.bits}
-    first = src.addresses[0].bits
-    head = None
-    for z in range(m):
-        bit = 1 << z
-        if first & bit:
-            continue
-        candidate = first | bit
-        if candidate not in used:
-            head = candidate
-            break
+    src, tail = _maximal_with_closing(m, src_r, rng, budget)
+    head = _fresh_superset(m, src.masks[0], set(_unions(src)) | {tail.bits})
     if head is None:
         raise ClosingUnionNotFoundError(
             f"no leading closing union for the maximal ({m},{src_r}) source"
         )
-    path = [head] + [u.bits for u in consecutive_unions(src)] + [tail.bits]
-    return GrayCode.from_bitmasks(m, r, [full ^ u for u in path])
+    # Any address inside ``head`` placed before the source makes ``head`` the
+    # first union of the path; only the unions are complemented.
+    lead = head ^ 1 << set_bits(src.masks[0])[0]
+    return flip_complement(GrayCode(m, src_r, (lead,) + src.masks), tail)

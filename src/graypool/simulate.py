@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from pathlib import Path
+from typing import Iterator
 
-from .codes import GrayCode, indices_from_mask
+from .codes import GrayCode, set_bits
 from .decode import PoolDecoder
 
 CSV_COLUMNS = ("n", "e", "trials", "mean_candidates", "max_candidates", "fraction_of_n")
@@ -101,42 +102,30 @@ def simulate_sweep(
         items.update(decoder.addr_lookup.near(pmask, budget))
         return len(items)
 
+    def flippable(u: int) -> tuple[int, ...]:
+        return set_bits(u if error_type == FALSE_NEGATIVE else full & ~u)
+
+    def outcomes(e: int) -> Iterator[int]:
+        if mode == "exhaustive":
+            for u in unions:
+                for flips in combinations(flippable(u), e):
+                    yield u ^ sum(1 << p for p in flips)
+        else:
+            for _ in range(samples):
+                u = unions[rng.randrange(len(unions))]
+                yield u ^ sum(1 << p for p in rng.sample(flippable(u), e))
+
     rng = random.Random(seed)
     records = []
     for e in range(max_errors + 1):
         total_candidates = 0
         worst = 0
         trials = 0
-        if mode == "exhaustive":
-            for u in unions:
-                flippable = (
-                    indices_from_mask(u)
-                    if error_type == FALSE_NEGATIVE
-                    else indices_from_mask(full & ~u)
-                )
-                for flips in combinations(flippable, e):
-                    pmask = u
-                    for p in flips:
-                        pmask ^= 1 << (p - 1)
-                    count = candidate_count(pmask)
-                    total_candidates += count
-                    worst = max(worst, count)
-                    trials += 1
-        else:
-            for _ in range(samples):
-                u = unions[rng.randrange(len(unions))]
-                flippable = (
-                    indices_from_mask(u)
-                    if error_type == FALSE_NEGATIVE
-                    else indices_from_mask(full & ~u)
-                )
-                pmask = u
-                for p in rng.sample(flippable, e):
-                    pmask ^= 1 << (p - 1)
-                count = candidate_count(pmask)
-                total_candidates += count
-                worst = max(worst, count)
-                trials += 1
+        for pmask in outcomes(e):
+            count = candidate_count(pmask)
+            total_candidates += count
+            worst = max(worst, count)
+            trials += 1
         mean = total_candidates / trials
         records.append(
             SimSweepRecord(

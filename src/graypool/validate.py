@@ -75,14 +75,9 @@ def validate(code: GrayCode) -> ValidationReport:
         else:
             union_seen[union] = j + 1
 
-    if 1 <= code.r <= code.m:
-        meets_bound = n == length_bound(code.m, code.r)
-    else:
-        meets_bound = False
-
     return ValidationReport(
         is_valid=not violations,
         violations=tuple(violations),
         balance=balance_of(code),
-        meets_bound=meets_bound,
+        meets_bound=1 <= code.r <= code.m and n == length_bound(code.m, code.r),
     )

@@ -1,18 +1,22 @@
+import random
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, strategies as st
 
 from graypool import (
     Address,
     BudgetExhaustedError,
     InfeasibleError,
     balance_of,
-    balance_penalty,
     balance_target,
     bba,
     length_bound,
     rcbba,
     validate,
 )
-from graypool.bba import SearchBudget
+from graypool.bba import SearchBudget, _balance_order
+from graypool.codes import set_bits
 
 
 def test_balance_target_spreads_remainder():
@@ -22,13 +26,57 @@ def test_balance_target_spreads_remainder():
     assert max(balance_target(13, 3, 271)) - min(balance_target(13, 3, 271)) <= 1
 
 
+def balance_penalty(target, occupancy):
+    """Population variance of ``target - occupancy``, exactly: the reference
+    that bba's per-pool key stands in for."""
+    residual = [Fraction(t - o) for t, o in zip(target, occupancy)]
+    mean = sum(residual) / len(residual)
+    return sum((x - mean) ** 2 for x in residual) / len(residual)
+
+
 def test_balance_penalty_values():
-    assert balance_penalty((2, 2, 2), (2, 2, 2)) == 0.0
+    assert balance_penalty((2, 2, 2), (2, 2, 2)) == 0
     # Shift-invariant: a uniformly missed target still scores zero.
-    assert balance_penalty((4, 4, 4), (2, 2, 2)) == 0.0
-    assert balance_penalty((1, 0, 1, 0), (0, 0, 0, 0)) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        balance_penalty((1, 2), (1, 2, 3))
+    assert balance_penalty((4, 4, 4), (2, 2, 2)) == 0
+    assert balance_penalty((1, 0, 1, 0), (0, 0, 0, 0)) == Fraction(1, 4)
+
+
+@given(st.data())
+def test_per_pool_key_orders_like_the_balance_penalty(data):
+    # bba ranks a candidate union or address by one pool's occupancy gap;
+    # that must order candidates as the variance of the target minus the
+    # occupancy of the path extended by the candidate would, smaller mask
+    # first on ties.
+    m = data.draw(st.integers(min_value=3, max_value=8))
+    r = data.draw(st.integers(min_value=1, max_value=m - 1))
+    weight_r = st.sets(st.integers(0, m - 1), min_size=r, max_size=r).map(
+        lambda s: sum(1 << i for i in s)
+    )
+    tip = data.draw(weight_r)
+    used = {tip} | set(data.draw(st.lists(weight_r, max_size=6)))
+    used |= {tip | 1 << z for z in data.draw(st.sets(st.integers(0, m - 1), max_size=2))}
+    target = data.draw(st.lists(st.integers(0, 30), min_size=m, max_size=m))
+    w = data.draw(st.lists(st.integers(0, 30), min_size=m, max_size=m))
+
+    def ranked(candidates):
+        def key(mask):
+            occupancy = [w[i] + (i in set_bits(mask)) for i in range(m)]
+            return balance_penalty(target, occupancy), mask
+
+        return sorted((c for c in candidates if c not in used), key=key)
+
+    expected = [
+        b
+        for u in ranked(tip | 1 << z for z in range(m) if not tip >> z & 1)
+        for b in ranked(u ^ 1 << x for x in set_bits(u))
+    ]
+    budget = SearchBudget(10**6)
+    # A path longer than the start alone keeps the random first draw out.
+    order = _balance_order(m, target, random.Random(0), budget)
+    assert list(order([0, tip], used, w)) == expected
+    # Each union opened is charged.
+    opened = sum(1 for z in range(m) if not tip >> z & 1 and tip | 1 << z not in used)
+    assert budget.spent == opened
 
 
 def test_constructs_full_length_code():
@@ -99,13 +147,6 @@ def test_random_first_address_is_seeded():
     a = bba(8, 3, 30, seed=5)
     b = bba(8, 3, 30, seed=5)
     assert a.addresses[0] == b.addresses[0]
-
-
-def test_union_penalty_variants_both_valid():
-    include = bba(9, 3, 50, seed=1, union_bits_in_penalty=True)
-    exclude = bba(9, 3, 50, seed=1, union_bits_in_penalty=False)
-    assert validate(include).is_valid
-    assert validate(exclude).is_valid
 
 
 def test_full_enumeration_codes_reach_perfect_balance():

@@ -145,3 +145,51 @@ def test_construct_rejects_non_positive_time_limit(capsys, alg, time_limit):
     ]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "time limit must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"m": 5, "r": 2, "n": 1, "addresses": 7}', "must be a list of pool-index lists"),
+        ('{"m": 5, "r": 2, "addresses": [1, 2]}', "must be a list of pool-index lists"),
+        ("[1, 2]", "a code must be a JSON object, got a JSON list"),
+    ],
+)
+def test_malformed_json_code_exits_3(tmp_path, capsys, text, message):
+    path = tmp_path / "code.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,flags",
+    [
+        (["--alg", "maximal", "--n", "3"], "--n"),
+        (["--alg", "maximal", "--first-address", "1,2"], "--first-address"),
+        (["--alg", "maximal", "--time-limit", "0.000001"], "--time-limit"),
+        (
+            ["--alg", "maximal", "--n", "3", "--first-address", "1,2",
+             "--time-limit", "0.000001"],
+            "--n, --first-address, --time-limit",
+        ),
+        (["--alg", "rcbba", "--n", "10", "--first-address", "1,2"], "--first-address"),
+    ],
+)
+def test_construct_rejects_options_its_algorithm_ignores(capsys, argv, flags):
+    assert main(["construct", "--m", "5", "--r", "2", *argv]) == 3
+    err = capsys.readouterr().err
+    alg = argv[1]
+    assert err == f"graypool: error: --alg {alg} does not take {flags}\n"
+
+
+def test_oracle_max_stops_at_node_limit_on_deep_searches(capsys):
+    # Paths here run to thousands of addresses; the search must not recurse.
+    assert main(["oracle", "max", "--m", "16", "--r", "4", "--node-limit", "20000"]) == 0
+    captured = capsys.readouterr()
+    result = json.loads(captured.out)
+    assert result["is_exact"] is False
+    assert result["search_nodes"] == 20001
+    assert "Traceback" not in captured.err

@@ -116,7 +116,7 @@ def test_balance_examples(code_5_2_10, code_6_2_15):
 
 @given(st.lists(addresses_m6, max_size=30))
 def test_balance_counts_sum_to_total_weight(addresses):
-    code = GrayCode(6, 2, tuple(addresses))
+    code = GrayCode(6, 2, tuple(a.bits for a in addresses))
     assert sum(balance_of(code).counts) == sum(a.weight for a in addresses)
 
 
@@ -153,7 +153,7 @@ def test_incidence_rejects_malformed():
 
 @given(st.lists(addresses_m6, max_size=20))
 def test_incidence_round_trip_any_sequence(addresses):
-    code = GrayCode(6, 2, tuple(addresses))
+    code = GrayCode(6, 2, tuple(a.bits for a in addresses))
     assert from_incidence(to_incidence(code), r=2) == code
 
 

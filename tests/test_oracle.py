@@ -34,6 +34,14 @@ def test_exhaustive_max_reports_truncation():
     assert result.search_nodes == 5
 
 
+def test_node_limit_must_be_positive():
+    for limit in (0, -3):
+        with pytest.raises(ValueError, match="node limit must be positive"):
+            exhaustive_max(5, 2, node_limit=limit)
+        with pytest.raises(ValueError, match="node limit must be positive"):
+            exhaustive_best_balance(5, 2, 4, node_limit=limit)
+
+
 def test_exhaustive_max_unfixed_start_agrees():
     fixed = exhaustive_max(4, 2)
     free = exhaustive_max(4, 2, fix_first_address=False)

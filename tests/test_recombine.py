@@ -8,7 +8,6 @@ from graypool import (
     GrayCode,
     InfeasibleError,
     apply_row_permutation,
-    augment,
     balance_of,
     build_maximal,
     combine_pair,
@@ -18,36 +17,8 @@ from graypool import (
     length_bound,
     rcbba,
     rcbba_detailed,
-    to_incidence,
     validate,
 )
-
-
-def test_augment_appends_constant_rows(code_5_1_5):
-    aug = augment(code_5_1_5, "+--")
-    assert aug.plus_rows == 1 and aug.minus_rows == 2
-    out = aug.code
-    assert out.m == 8 and out.r == 2
-    mat = to_incidence(out)
-    assert mat.rows[5] == (1,) * 5
-    assert mat.rows[6] == (0,) * 5
-    assert mat.rows[7] == (0,) * 5
-    assert validate(out).is_valid
-
-
-def test_augment_single_plus_on_vector():
-    one = GrayCode.from_index_sets(6, 3, [(1, 2, 6)])
-    out = augment(one, "+").code
-    assert out.addresses[0].bit_vector() == (1, 1, 0, 0, 0, 1, 1)
-
-
-def test_augment_empty_spec_is_identity(code_5_2_10):
-    assert augment(code_5_2_10, "").code == code_5_2_10
-
-
-def test_augment_rejects_unknown_op(code_5_2_10):
-    with pytest.raises(ValueError):
-        augment(code_5_2_10, "+x")
 
 
 def test_combine_pair_reproduces_known_matrix(code_5_1_5, code_5_2_10, code_6_2_15):
@@ -60,14 +31,14 @@ def test_combine_pair_reproduces_known_matrix(code_5_1_5, code_5_2_10, code_6_2_
 
 
 def test_combine_pair_equals_augmented_concatenation(code_5_1_5, code_5_2_10):
+    # The light code gains an all-one sixth row, the heavy one an all-zero row.
     combined = combine_pair(code_5_1_5, code_5_2_10)
-    plus = augment(code_5_1_5, "+").code
-    minus = augment(code_5_2_10, "-").code
-    assert combined.addresses == plus.addresses + minus.addresses
+    plus = tuple(x | 1 << 5 for x in code_5_1_5.masks)
+    assert combined == GrayCode(6, 2, plus + code_5_2_10.masks)
 
 
 def test_combine_pair_checks_subset_condition(code_5_1_5, code_5_2_10):
-    reordered = GrayCode(5, 2, code_5_2_10.addresses[::-1])
+    reordered = GrayCode(5, 2, code_5_2_10.masks[::-1])
     with pytest.raises(CombinePreconditionError, match="subset"):
         combine_pair(code_5_1_5, reordered)
 
@@ -84,7 +55,7 @@ def test_combine_pair_checks_shapes(code_5_1_5, code_5_2_10):
     with pytest.raises(CombinePreconditionError, match="weights"):
         combine_pair(code_5_2_10, code_5_2_10)
     with pytest.raises(CombinePreconditionError, match="pool counts"):
-        combine_pair(code_5_1_5, augment(code_5_2_10, "-").code)
+        combine_pair(code_5_1_5, GrayCode(6, 2, code_5_2_10.masks))
 
 
 def test_row_permutation_identity_and_reversal(code_5_2_10):
@@ -211,7 +182,7 @@ def test_rcbba_every_prefix_is_a_valid_code():
     cut = 0
     for length in trace.component_lengths:
         cut += length
-        prefix = GrayCode(code.m, code.r, code.addresses[:cut])
+        prefix = GrayCode(code.m, code.r, code.masks[:cut])
         assert validate(prefix).is_valid
 
 

@@ -19,8 +19,8 @@ def test_known_code_is_valid(code_5_2_10):
 
 
 def test_duplicate_address_reported(code_5_2_10):
-    addresses = code_5_2_10.addresses + (code_5_2_10.addresses[1],)
-    report = validate(GrayCode(5, 2, addresses))
+    masks = code_5_2_10.masks + (code_5_2_10.masks[1],)
+    report = validate(GrayCode(5, 2, masks))
     assert not report.is_valid
     assert any(
         v.constraint == DISTINCT_ADDRESSES and v.where == (2, 11)
