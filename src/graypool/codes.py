@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -22,13 +23,16 @@ def mask_from_indices(indices: Iterable[int]) -> int:
     return mask
 
 
+@cache
 def _chunk_bits(k: int) -> list[tuple[int, ...]]:
     """Set-bit positions of every value of the k-th 10-bit chunk of a mask."""
-    return [tuple(10 * k + i for i in range(10) if x >> i & 1) for x in range(1024)]
+    table: list[tuple[int, ...]] = [()]
+    for i in range(10 * k, 10 * k + 10):
+        table += [t + (i,) for t in table]
+    return table
 
 
-# One table per chunk, each built when a mask first reaches that chunk.
-_CHUNK_BITS = [_chunk_bits(0)]
+_LOW_BITS = _chunk_bits(0)
 
 
 def set_bits(mask: int) -> tuple[int, ...]:
@@ -38,13 +42,11 @@ def set_bits(mask: int) -> tuple[int, ...]:
     through here. Looking 10-bit chunks up in a table is about twice as fast
     as peeling off the low bit one at a time.
     """
-    out = _CHUNK_BITS[0][mask & 1023]
+    out = _LOW_BITS[mask & 1023]
     mask >>= 10
     k = 1
     while mask:
-        if k == len(_CHUNK_BITS):
-            _CHUNK_BITS.append(_chunk_bits(k))
-        out += _CHUNK_BITS[k][mask & 1023]
+        out += _chunk_bits(k)[mask & 1023]
         mask >>= 10
         k += 1
     return out
@@ -211,7 +213,7 @@ class IncidenceMatrix:
         for i, row in enumerate(self.rows):
             if len(row) != width:
                 raise ValueError(f"ragged row {i + 1}: {len(row)} entries, expected {width}")
-            if any(x not in (0, 1) for x in row):
+            if not {0, 1}.issuperset(row):
                 raise ValueError(f"non-binary entry in row {i + 1}")
         object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
 
@@ -226,7 +228,7 @@ class IncidenceMatrix:
 
 def to_incidence(code: GrayCode) -> IncidenceMatrix:
     """Transpose a code into its incidence matrix (column j = address j)."""
-    rows = tuple(tuple((x >> i) & 1 for x in code.masks) for i in range(code.m))
+    rows = tuple(tuple([(x >> i) & 1 for x in code.masks]) for i in range(code.m))
     return IncidenceMatrix(rows)
 
 
@@ -236,8 +238,9 @@ def from_incidence(matrix: IncidenceMatrix, r: int | None = None) -> GrayCode:
     When ``r`` is not given it is inferred from the first column (0 for an
     empty matrix); weight mismatches are left for the validator to report.
     """
-    # Column j read from pool m down to pool 1 is mask j in binary.
-    masks = [int("".join(map(str, col[::-1])), 2) for col in zip(*matrix.rows)]
+    masks = [0] * matrix.n
+    for i, row in enumerate(matrix.rows):
+        masks = [x | 1 << i if bit else x for x, bit in zip(masks, row)]
     if r is None:
         r = masks[0].bit_count() if masks else 0
     return GrayCode.from_bitmasks(matrix.m, r, masks)

@@ -44,9 +44,12 @@ def _index_order(path: list[int], used: set[int], w: list[int]) -> list[int]:
     descending; the rest follow by ``x`` descending and then ``z`` ascending.
     """
     a = path[-1]
-    fresh = [z for z in set_bits(a ^ (1 << len(w)) - 1) if a | 1 << z not in used]
+    outside = a ^ (1 << len(w)) - 1  # w has one entry per pool
+    fresh = [z for z in set_bits(outside) if a | 1 << z not in used]
+    out: list[int] = []
+    if not fresh:
+        return out
     inside = set_bits(a)[::-1]
-    out = []
     for z in fresh:
         for x in inside:
             if x < z:
