@@ -31,7 +31,7 @@ import time
 from itertools import chain, combinations, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .codes import Address, GrayCode, length_bound, set_bits
+from .codes import Address, GrayCode, length_bound, _set_bits
 from .errors import BudgetExhaustedError, InfeasibleError
 from .validate import validate
 
@@ -107,12 +107,13 @@ def _path_search(
     those whose union ``tip | b`` it uses. ``used`` holds the path's
     addresses and unions (their weights differ) and ``w`` its per-pool
     occupancy. The kernel consumes ``order`` lazily, and the path is back
-    in the same state each time it asks for the next address. Every address entered, ``start``
-    included, is charged to ``budget`` before ``goal(path, w)`` is asked; a
-    true goal ends the search and returns the path. Otherwise
-    ``prune(path, w)``, when given, can refuse to extend the path. Returns
-    None once every path from ``start`` is exhausted. ``order`` may charge
-    visits of its own, as bba does for each union it opens.
+    in the same state each time it asks for the next address. Every
+    address entered, ``start`` included, is charged to ``budget`` before
+    ``goal(path, w)`` is asked; a true goal ends the search and returns the
+    path. Otherwise ``prune(path, w)``, when given, can refuse to extend
+    the path. Returns None once every path from ``start`` is exhausted.
+    ``order`` may charge visits of its own, as bba does for each union it
+    opens.
     """
     path: list[int] = []
     used: set[int] = set()
@@ -131,7 +132,7 @@ def _path_search(
                 tip = path[-1] if path else 0
                 leave(a)
                 leave(tip | a)
-                for i in set_bits(a):
+                for i in _set_bits(a):
                     w[i] -= 1
             continue
         spend()
@@ -139,7 +140,7 @@ def _path_search(
         enter(b)
         enter(tip | b)
         tip = b
-        for i in set_bits(b):
+        for i in _set_bits(b):
             w[i] += 1
         if goal(path, w):
             return path
@@ -162,14 +163,14 @@ def _balance_order(
 
     def addresses(u: int, used: set[int], w: list[int]) -> list[int]:
         budget.spend()
-        keyed = [(target[x] - w[x], b) for x in set_bits(u) if (b := u ^ 1 << x) not in used]
+        keyed = [(target[x] - w[x], b) for x in _set_bits(u) if (b := u ^ 1 << x) not in used]
         keyed.sort()
         return [b for _, b in keyed]
 
     def order(path: list[int], used: set[int], w: list[int]) -> Iterator[int]:
         a = path[-1]
         keyed = [
-            (w[z] - target[z], u) for z in set_bits(full ^ a) if (u := a | 1 << z) not in used
+            (w[z] - target[z], u) for z in _set_bits(full ^ a) if (u := a | 1 << z) not in used
         ]
         first = keyed.pop(rng.randrange(len(keyed))) if len(path) == 1 and keyed else None
         keyed.sort()

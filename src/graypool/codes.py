@@ -15,10 +15,12 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 
-def mask_from_indices(indices: Iterable[int]) -> int:
-    """Pack 1-based pool indices into a bitmask."""
+def mask_from_indices(indices: Iterable[int], m: int) -> int:
+    """Pack 1-based pool indices, each an int in 1..m, into a bitmask."""
     mask = 0
     for i in indices:
+        if not isinstance(i, int) or not 1 <= i <= m:
+            raise ValueError(f"pool index {i!r} out of range 1..{m}")
         mask |= 1 << (i - 1)
     return mask
 
@@ -35,7 +37,7 @@ def _chunk_bits(k: int) -> list[tuple[int, ...]]:
 _LOW_BITS = _chunk_bits(0)
 
 
-def set_bits(mask: int) -> tuple[int, ...]:
+def _set_bits(mask: int) -> tuple[int, ...]:
     """Ascending 0-based positions of the set bits of a non-negative ``mask``.
 
     Every loop over the pools of a mask, occupancy counts included, goes
@@ -54,7 +56,7 @@ def set_bits(mask: int) -> tuple[int, ...]:
 
 def indices_from_mask(mask: int) -> tuple[int, ...]:
     """Unpack a bitmask into sorted 1-based pool indices."""
-    return tuple([i + 1 for i in set_bits(mask)])
+    return tuple([i + 1 for i in _set_bits(mask)])
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,7 @@ class Address:
 
     @classmethod
     def from_index_set(cls, m: int, indices: Iterable[int]) -> "Address":
-        indices = tuple(indices)
-        for i in indices:
-            if not isinstance(i, int) or not 1 <= i <= m:
-                raise ValueError(f"pool index {i!r} out of range 1..{m}")
-        return cls(m, mask_from_indices(indices))
+        return cls(m, mask_from_indices(indices, m))
 
     @classmethod
     def from_bit_vector(cls, bits: Sequence[int]) -> "Address":
@@ -165,7 +163,7 @@ class GrayCode:
 
     @classmethod
     def from_index_sets(cls, m: int, r: int, sets: Iterable[Iterable[int]]) -> "GrayCode":
-        return cls(m, r, tuple(Address.from_index_set(m, s).bits for s in sets))
+        return cls(m, r, tuple(mask_from_indices(s, m) for s in sets))
 
     @property
     def n(self) -> int:
@@ -188,7 +186,7 @@ def balance_of(code: GrayCode) -> BalanceVector:
     """Count, per pool, how many addresses of the code use it."""
     counts = [0] * code.m
     for x in code.masks:
-        for i in set_bits(x):
+        for i in _set_bits(x):
             counts[i] += 1
     return BalanceVector(tuple(counts))
 

@@ -85,12 +85,13 @@ def _bit_sums(bits: list[int], t: int) -> list[int]:
     every t-subset is built once. Above half the bits, the complements of
     the smaller subsets are cheaper to build.
     """
-    if t == 1:
-        return bits
     k = min(t, len(bits) - t)
-    sums = [0]
-    for _ in range(k):
-        sums = [s | b for s in sums for b in bits if b > s]
+    if k == 1:
+        sums = bits
+    else:
+        sums = [0]
+        for _ in range(k):
+            sums = [s | b for s in sums for b in bits if b > s]
     if k < t:
         total = sum(bits)
         sums = [total - s for s in sums]

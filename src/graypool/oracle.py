@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .bba import SearchBudget, _check_request, _path_search, _weight_masks
-from .codes import GrayCode, length_bound, set_bits
+from .codes import GrayCode, length_bound, _set_bits
 from .errors import BudgetExhaustedError, InfeasibleError, NodeLimitError
 
 DEFAULT_NODE_LIMIT = 10**7
@@ -45,11 +45,11 @@ def _index_order(path: list[int], used: set[int], w: list[int]) -> list[int]:
     """
     a = path[-1]
     outside = a ^ (1 << len(w)) - 1  # w has one entry per pool
-    fresh = [z for z in set_bits(outside) if a | 1 << z not in used]
+    fresh = [z for z in _set_bits(outside) if a | 1 << z not in used]
     out: list[int] = []
     if not fresh:
         return out
-    inside = set_bits(a)[::-1]
+    inside = _set_bits(a)[::-1]
     for z in fresh:
         for x in inside:
             if x < z:
@@ -109,9 +109,8 @@ def exhaustive_max(
     best: list[int] = []
 
     def goal(path: list[int], w: list[int]) -> bool:
-        nonlocal best
         if len(path) > len(best):
-            best = list(path)
+            best[:] = path
         return len(best) == bound
 
     exact, nodes = _search(m, r, node_limit, fix_first_address, None, goal)

@@ -33,7 +33,7 @@ from .codes import (
     balance_of,
     indices_from_mask,
     length_bound,
-    set_bits,
+    _set_bits,
 )
 from .errors import (
     BudgetExhaustedError,
@@ -92,7 +92,7 @@ def apply_row_permutation(code: GrayCode, perm: Sequence[int]) -> GrayCode:
 
 def _remap_mask(mask: int, table: Sequence[int]) -> int:
     out = 0
-    for i in set_bits(mask):
+    for i in _set_bits(mask):
         out |= 1 << table[i]
     return out
 
@@ -268,7 +268,7 @@ class _RecursiveCombiner:
         consumed_pool = table[width - 1] + 1
         added = self._push_columns(placed)
         for bits in placed:
-            for i in set_bits(bits):
+            for i in _set_bits(bits):
                 self.w_res[i] -= 1
         self.i_res.discard(consumed_pool)
         self.consumed.append(consumed_pool)
@@ -280,7 +280,7 @@ class _RecursiveCombiner:
         self.consumed.pop()
         self.i_res.add(consumed_pool)
         for bits in placed:
-            for i in set_bits(bits):
+            for i in _set_bits(bits):
                 self.w_res[i] += 1
         self._pop_columns(placed, added)
 
@@ -573,5 +573,5 @@ def _maximal_by_flip(m, r, rng, budget) -> GrayCode:
         )
     # Any address inside ``head`` placed before the source makes ``head`` the
     # first union of the path; only the unions are complemented.
-    lead = head ^ 1 << set_bits(src.masks[0])[0]
+    lead = head ^ 1 << _set_bits(src.masks[0])[0]
     return flip_complement(GrayCode(m, src_r, (lead,) + src.masks), tail)

@@ -22,7 +22,7 @@ from math import comb
 from pathlib import Path
 from typing import Iterator
 
-from .codes import GrayCode, set_bits
+from .codes import GrayCode, _set_bits
 from .decode import PoolDecoder
 
 CSV_COLUMNS = ("n", "e", "trials", "mean_candidates", "max_candidates", "fraction_of_n")
@@ -102,18 +102,19 @@ def simulate_sweep(
         items.update(decoder.addr_lookup.near(pmask, budget))
         return len(items)
 
-    def flippable(u: int) -> tuple[int, ...]:
-        return set_bits(u if error_type == FALSE_NEGATIVE else full & ~u)
+    def flippable(u: int) -> list[int]:
+        """The single-pool masks an error can flip in the outcome of union u."""
+        return [1 << p for p in _set_bits(u if error_type == FALSE_NEGATIVE else full & ~u)]
 
     def outcomes(e: int) -> Iterator[int]:
         if mode == "exhaustive":
             for u in unions:
                 for flips in combinations(flippable(u), e):
-                    yield u ^ sum(1 << p for p in flips)
+                    yield u ^ sum(flips)
         else:
             for _ in range(samples):
                 u = unions[rng.randrange(len(unions))]
-                yield u ^ sum(1 << p for p in rng.sample(flippable(u), e))
+                yield u ^ sum(rng.sample(flippable(u), e))
 
     rng = random.Random(seed)
     records = []

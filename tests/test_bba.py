@@ -16,7 +16,7 @@ from graypool import (
     validate,
 )
 from graypool.bba import SearchBudget, _balance_order
-from graypool.codes import set_bits
+from graypool.codes import _set_bits
 
 
 def test_balance_target_spreads_remainder():
@@ -60,7 +60,7 @@ def test_per_pool_key_orders_like_the_balance_penalty(data):
 
     def ranked(candidates):
         def key(mask):
-            occupancy = [w[i] + (i in set_bits(mask)) for i in range(m)]
+            occupancy = [w[i] + (i in _set_bits(mask)) for i in range(m)]
             return balance_penalty(target, occupancy), mask
 
         return sorted((c for c in candidates if c not in used), key=key)
@@ -68,7 +68,7 @@ def test_per_pool_key_orders_like_the_balance_penalty(data):
     expected = [
         b
         for u in ranked(tip | 1 << z for z in range(m) if not tip >> z & 1)
-        for b in ranked(u ^ 1 << x for x in set_bits(u))
+        for b in ranked(u ^ 1 << x for x in _set_bits(u))
     ]
     budget = SearchBudget(10**6)
     # A path longer than the start alone keeps the random first draw out.

@@ -91,6 +91,18 @@ def test_distance_two_union_gains_one(data):
     assert or_sum(a, b).weight == r + 1
 
 
+def test_code_holds_masks_and_builds_address_views(code_5_2_10):
+    code = GrayCode(5, 2, [0b00110, 0b00101])
+    assert code.masks == (0b00110, 0b00101)
+    assert code.bitmasks() is code.masks
+    assert code.addresses == (Address(5, 0b00110), Address(5, 0b00101))
+    assert code_5_2_10.addresses[0].index_set == (2, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        GrayCode(3, 1, (0b1000,))
+    with pytest.raises(ValueError, match="out of range"):
+        GrayCode(3, 1, (-1,))
+
+
 def test_consecutive_unions_on_known_code(code_5_2_10):
     unions = consecutive_unions(code_5_2_10)
     assert unions[0].index_set == (1, 2, 3)
