@@ -1,9 +1,10 @@
 """Golden output: the CLI writes the same bytes for the same parameters.
 
-The digests below were recorded from the CLI before the search kernel and
-the code representation were refactored; any change to construction order,
-node counting or file formatting shows up here. A change that alters
-output on purpose must re-record them and say so.
+The digests pin what ``construct``, ``simulate`` and ``oracle`` print or
+write for fixed parameters and seeds, and which near-bound runs exhaust
+their budget; search order, node counting and file formatting all show up
+in them. A change that alters output on purpose re-records them and says
+so.
 """
 
 import hashlib
@@ -22,6 +23,8 @@ CONSTRUCT_CASES = {
     "maximal-6-4": ("maximal", 6, 4, None, 0, ()),
     "maximal-7-4": ("maximal", 7, 4, None, 1, ()),
     "maximal-9-2": ("maximal", 9, 2, None, 0, ()),
+    # Two searched bases, (5, 2) and (7, 3), draw from one generator.
+    "maximal-8-3": ("maximal", 8, 3, None, 0, ()),
 }
 
 ORACLE_CASES = {
@@ -73,6 +76,8 @@ GOLDEN = {
     "maximal-7-4.csv": "dd6f5283f8cd0732554e97ac5e98e5c5c584025f5e7f8ddbf7d0f38cf31898e6",
     "maximal-9-2.json": "0e626624d386df33341837c9fcc4004aaff1250630d4c7a01b93e9ad564e7834",
     "maximal-9-2.csv": "ecdb52f373254417bd385bcc143f230d6d21423bfcfe1e9aa374d9f203f49e3b",
+    "maximal-8-3.json": "9049065ac1e9951248acf9b07f89f02da89adba16fe913f5708c75c2f628f996",
+    "maximal-8-3.csv": "614635112ae7191ec94d7d4e1c590d6a2024a0f3246ec5c5c99301debb50c824",
     "simulate-fn-exhaustive": "194e41ea85f2d4b58ded3c512c0708b8057b17cf98904290518dbd1d8baa5064",
     "simulate-fp-exhaustive": "3fb0d8f2d9bf316fb9fd7b595051fe3f9875a455a7e1120dbac85332456ca39a",
     "simulate-fn-sampled": "31e13114aa4c7cf6e364854940249458705dbbefe89fe8c49d0950ed44ab11ad",
