@@ -16,10 +16,10 @@ from typing import Iterable, Sequence
 
 
 def mask_from_indices(indices: Iterable[int], m: int) -> int:
-    """Pack 1-based pool indices, each an int in 1..m, into a bitmask."""
+    """Pack 1-based pool indices, each an int (not a bool) in 1..m, into a bitmask."""
     mask = 0
     for i in indices:
-        if not isinstance(i, int) or not 1 <= i <= m:
+        if type(i) is not int or not 1 <= i <= m:
             raise ValueError(f"pool index {i!r} out of range 1..{m}")
         mask |= 1 << (i - 1)
     return mask
@@ -282,44 +282,40 @@ def code_to_json_dict(code: GrayCode, extra: dict | None = None) -> dict:
 
 
 def code_from_json_dict(obj: dict) -> GrayCode:
-    """Rebuild a code from its JSON object; derived fields are recomputed, not trusted."""
+    """Rebuild a code from its JSON object; derived fields are recomputed, not trusted.
+
+    ``m``, ``r`` and ``n`` must be JSON integers: floats, strings and booleans
+    are rejected rather than converted.
+    """
     if not isinstance(obj, dict):
         raise ValueError(f"a code must be a JSON object, got a JSON {type(obj).__name__}")
     try:
-        m = int(obj["m"])
-        r = int(obj["r"])
-        sets = obj["addresses"]
-        n = int(obj.get("n", 0))
+        m, r, sets = obj["m"], obj["r"], obj["addresses"]
     except KeyError as exc:
         raise ValueError(f"malformed code object: missing field {exc}") from exc
-    except TypeError as exc:
-        raise ValueError(f"malformed code object: {exc}") from exc
+    for field in ("m", "r", "n"):
+        if field in obj and type(obj[field]) is not int:
+            raise ValueError(f"malformed code object: {field} must be an integer, got {obj[field]!r}")
     if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
         raise ValueError("malformed code object: addresses must be a list of pool-index lists")
-    if "n" in obj and n != len(sets):
+    if "n" in obj and obj["n"] != len(sets):
         raise ValueError(f"declared n={obj['n']} but {len(sets)} addresses present")
     return GrayCode.from_index_sets(m, r, sets)
 
 
-def save_code(code: GrayCode, path: str | Path, fmt: str | None = None, extra: dict | None = None) -> None:
-    """Write a code to ``path`` as JSON or CSV, inferred from the extension."""
+def save_code(code: GrayCode, path: str | Path, extra: dict | None = None) -> None:
+    """Write a code to ``path``: CSV for a ``.csv`` extension, JSON with ``extra`` otherwise."""
     path = Path(path)
-    fmt = fmt or ("csv" if path.suffix.lower() == ".csv" else "json")
-    if fmt == "csv":
+    if path.suffix.lower() == ".csv":
         path.write_text(incidence_to_csv(to_incidence(code)))
-    elif fmt == "json":
-        path.write_text(json.dumps(code_to_json_dict(code, extra), indent=2) + "\n")
     else:
-        raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'json')")
+        path.write_text(json.dumps(code_to_json_dict(code, extra), indent=2) + "\n")
 
 
-def load_code(path: str | Path, fmt: str | None = None, r: int | None = None) -> GrayCode:
-    """Read a code from a JSON or CSV file, inferred from the extension."""
+def load_code(path: str | Path) -> GrayCode:
+    """Read a code from ``path``: CSV for a ``.csv`` extension, JSON otherwise."""
     path = Path(path)
-    fmt = fmt or ("csv" if path.suffix.lower() == ".csv" else "json")
     text = path.read_text()
-    if fmt == "csv":
-        return from_incidence(incidence_from_csv(text), r=r)
-    if fmt == "json":
-        return code_from_json_dict(json.loads(text))
-    raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'json')")
+    if path.suffix.lower() == ".csv":
+        return from_incidence(incidence_from_csv(text))
+    return code_from_json_dict(json.loads(text))

@@ -11,6 +11,8 @@ the branch-and-bound constructor, augments and permutes them so each one
 exactly fills the occupancy target of one pool, and concatenates, switching
 to a single balance-targeted search over the last 2r pools. ``build_maximal``
 uses the same calculus to reach the length bound exactly at small scale.
+``_pool_table`` is the one place where a block's pools are relabelled, for
+rcbba's blocks, its closing search and ``build_maximal``'s combinations.
 """
 
 from __future__ import annotations
@@ -31,15 +33,13 @@ from .codes import (
     Address,
     GrayCode,
     balance_of,
-    indices_from_mask,
     length_bound,
     _set_bits,
 )
 from .errors import (
-    BudgetExhaustedError,
     ClosingUnionNotFoundError,
     CombinePreconditionError,
-    ConstructionError,
+    InfeasibleError,
     NoJoiningAddressError,
 )
 from .validate import validate
@@ -91,10 +91,7 @@ def apply_row_permutation(code: GrayCode, perm: Sequence[int]) -> GrayCode:
 
 
 def _remap_mask(mask: int, table: Sequence[int]) -> int:
-    out = 0
-    for i in _set_bits(mask):
-        out |= 1 << table[i]
-    return out
+    return sum(1 << table[i] for i in _set_bits(mask))
 
 
 def find_closing_union(code: GrayCode) -> Address:
@@ -184,7 +181,10 @@ class CombinationTrace:
 
 
 class _RecursiveCombiner:
-    """Backtracking driver for the iterative combination construction."""
+    """Backtracking driver for the iterative combination construction.
+
+    Pools are 0-based bit positions throughout; only ``trace`` reports them 1-based.
+    """
 
     def __init__(self, m, r, n, w_ini, rng, budget):
         self.m = m
@@ -196,7 +196,7 @@ class _RecursiveCombiner:
         self.columns: list[int] = []
         self.union_set: set[int] = set()
         self.w_res = list(w_ini)
-        self.i_res = set(range(1, m + 1))
+        self.active = (1 << m) - 1  # the pools no placed block has consumed
         self.consumed: list[int] = []
         self.lengths: list[int] = []
         self.final_target: tuple[int, ...] = ()
@@ -238,7 +238,7 @@ class _RecursiveCombiner:
     def trace(self) -> CombinationTrace:
         return CombinationTrace(
             tuple(self.lengths),
-            tuple(self.consumed),
+            tuple(pool + 1 for pool in self.consumed),
             self.final_target,
             self.final_balance,
         )
@@ -247,7 +247,10 @@ class _RecursiveCombiner:
 
     def _place_block(self, width: int, join_mask: int | None, comp_len: int) -> tuple | None:
         """Search and append the block for the iteration with ``width`` active
-        pools; returns what ``_remove_block`` needs, or None when no block exists."""
+        pools; returns what ``_remove_block`` needs, or None when no block exists.
+
+        The first block has no joining address and keeps its own labels.
+        """
         try:
             elem = _construct_masks(
                 width - 1,
@@ -258,52 +261,44 @@ class _RecursiveCombiner:
                 self.rng,
                 self.budget,
             )
-        except BudgetExhaustedError:
-            raise
-        except ConstructionError:
+        except InfeasibleError:
             return None
-        table = self._block_permutation(width, elem[0], join_mask)
         ones = 1 << (width - 1)
+        first = elem[0] | ones
+        table = _pool_table(first, first if join_mask is None else join_mask, self.active, self.m)
         placed = [_remap_mask(bits | ones, table) for bits in elem]
-        consumed_pool = table[width - 1] + 1
         added = self._push_columns(placed)
-        for bits in placed:
-            for i in _set_bits(bits):
-                self.w_res[i] -= 1
-        self.i_res.discard(consumed_pool)
-        self.consumed.append(consumed_pool)
+        self._occupy(placed, -1)
+        # The all-one row is the block's top row; its pool has met its target.
+        self.active ^= 1 << table[width - 1]
+        self.consumed.append(table[width - 1])
         self.lengths.append(comp_len)
-        return placed, added, consumed_pool
+        return placed, added
 
-    def _remove_block(self, placed: list[int], added: list[int], consumed_pool: int) -> None:
+    def _remove_block(self, placed: list[int], added: list[int]) -> None:
         self.lengths.pop()
-        self.consumed.pop()
-        self.i_res.add(consumed_pool)
-        for bits in placed:
-            for i in _set_bits(bits):
-                self.w_res[i] += 1
-        self._pop_columns(placed, added)
+        self.active |= 1 << self.consumed.pop()
+        self._occupy(placed, 1)
+        del self.columns[len(self.columns) - len(placed):]
+        self.union_set.difference_update(added)
 
-    def _final(self, width: int, join_mask: int | None) -> bool:
-        """Closing regime: one balance-targeted search over the remaining pools."""
+    def _final(self, width: int, join_mask: int) -> bool:
+        """Closing regime: one balance-targeted search over the remaining pools.
+
+        At least one address is still needed: ``run`` stops once the columns
+        reach n, and every iterative block fits in the remaining length.
+        """
         need = self.n - len(self.columns)
-        if need == 0:
-            return True
-        if need < 0 or need > length_bound(width, self.r):
+        if need > length_bound(width, self.r):
             return False
-        start = 0
-        for p in self.rng.sample(range(width), self.r):
-            start |= 1 << p
-        table = self._final_permutation(width, start, join_mask)
+        start = sum(1 << p for p in self.rng.sample(range(width), self.r))
+        table = _pool_table(start, join_mask, self.active, self.m)
         target = tuple(self.w_res[table[i]] for i in range(width))
         try:
             elem = _construct_masks(width, self.r, need, start, target, self.rng, self.budget)
-        except BudgetExhaustedError:
-            raise
-        except ConstructionError:
+        except InfeasibleError:
             return False
-        placed = [_remap_mask(bits, table) for bits in elem]
-        self._push_columns(placed)
+        self._push_columns([_remap_mask(bits, table) for bits in elem])
         self.lengths.append(need)
         self.final_target = target
         self.final_balance = balance_of(GrayCode(width, self.r, elem)).counts
@@ -323,68 +318,26 @@ class _RecursiveCombiner:
         index-order tie-breaks; that residual is the next block's length.
         """
         last = self.columns[-1]
-        core = last & ~(1 << (self.consumed[-1] - 1))
-        remaining = self.n - len(self.columns)
+        core = last & ~(1 << self.consumed[-1])
+        # An iterative block must fit the remaining length and its own bound.
+        cap = min(self.n - len(self.columns), length_bound(width - 1, self.r - 1))
         out = []
-        for z in sorted(self.i_res):
-            bit = 1 << (z - 1)
-            if last & bit:
-                continue
-            candidate = core | bit
+        for z in _set_bits(self.active & ~last):
+            candidate = core | 1 << z
             if (last | candidate) in self.union_set:
                 continue
             next_len = self.w_res[candidate.bit_length() - 1]
-            if width > self.final_width:
-                if next_len < 1 or next_len > remaining:
-                    continue
-                if next_len > length_bound(width - 1, self.r - 1):
-                    continue
+            if width > self.final_width and not 1 <= next_len <= cap:
+                continue
             out.append((candidate, next_len))
         out.sort(key=lambda t: -t[1])
         return out
 
-    # -- permutations ---------------------------------------------------------
-
-    def _block_permutation(self, width, first_elem, join_mask) -> list[int]:
-        """Pool relabeling for an iterative block (0-based old -> new table).
-
-        The block's rows 1..width map one-to-one onto the active pools so
-        that the augmented first address lands on the joining address with
-        its all-one row on the join's largest pool; dead rows map onto the
-        already-consumed pools. The first block keeps the identity.
-        """
-        if join_mask is None:
-            return list(range(self.m))
-        src = list(indices_from_mask(first_elem)) + [width]
-        dst = list(indices_from_mask(join_mask))
-        return self._assemble_permutation(width, src, dst)
-
-    def _final_permutation(self, width, start_mask, join_mask) -> list[int]:
-        src = list(indices_from_mask(start_mask))
-        dst = list(indices_from_mask(join_mask))
-        return self._assemble_permutation(width, src, dst)
-
-    def _assemble_permutation(self, width, src, dst) -> list[int]:
-        table = [-1] * self.m
-        for s, d in zip(src, dst):
-            table[s - 1] = d - 1
-        rest_src = [i for i in range(1, width + 1) if i not in set(src)]
-        rest_dst = sorted(self.i_res - set(dst))
-        for s, d in zip(rest_src, rest_dst):
-            table[s - 1] = d - 1
-        dead_dst = sorted(set(range(1, self.m + 1)) - self.i_res)
-        for s, d in zip(range(width + 1, self.m + 1), dead_dst):
-            table[s - 1] = d - 1
-        return table
-
     # -- column bookkeeping ----------------------------------------------------
 
     def _push_columns(self, placed: list[int]) -> list[int]:
-        added = []
-        if self.columns:
-            added.append(self.columns[-1] | placed[0])
-        for k in range(len(placed) - 1):
-            added.append(placed[k] | placed[k + 1])
+        joined = self.columns[-1:] + placed
+        added = [a | b for a, b in zip(joined, joined[1:])]
         for u in added:
             if u in self.union_set:
                 raise RuntimeError("internal error: duplicate union while combining")
@@ -392,10 +345,30 @@ class _RecursiveCombiner:
         self.columns.extend(placed)
         return added
 
-    def _pop_columns(self, placed: list[int], added: list[int]) -> None:
-        del self.columns[len(self.columns) - len(placed):]
-        for u in added:
-            self.union_set.discard(u)
+    def _occupy(self, placed: list[int], step: int) -> None:
+        """Add ``step`` to the residual occupancy of every pool ``placed`` uses."""
+        for bits in placed:
+            for i in _set_bits(bits):
+                self.w_res[i] += step
+
+
+def _pool_table(src: int, dst: int, active: int, m: int) -> list[int]:
+    """The one pool relabelling: row i of a block becomes pool ``table[i]``.
+
+    The block spans the lowest ``active.bit_count()`` rows. Its rows in
+    ``src`` go onto the pools of ``dst`` in ascending order, its other rows
+    onto the rest of ``active`` in ascending order, and the rows above the
+    block onto the pools outside ``active``. All masks are 0-based; ``src``
+    must lie in the block's rows, ``dst`` in ``active``, and the two must
+    have equal weight.
+    """
+    rows = (1 << active.bit_count()) - 1
+    full = (1 << m) - 1
+    table = [0] * m
+    for rows_from, pools_to in ((src, dst), (rows ^ src, active ^ dst), (full ^ rows, full ^ active)):
+        for s, d in zip(_set_bits(rows_from), _set_bits(pools_to)):
+            table[s] = d
+    return table
 
 
 def rcbba_detailed(
@@ -490,8 +463,8 @@ def build_maximal(
     return code
 
 
-def _maximal_with_closing(m, r, rng, budget) -> tuple[GrayCode, Address]:
-    """Maximal (m, r) code for m >= 2r+1 together with a closing union.
+def _maximal_with_closing(m, r, rng, budget) -> tuple[GrayCode, int]:
+    """Maximal (m, r) code for m >= 2r+1 together with a closing union mask.
 
     An (m', r') code above the bases is the (m'-1, r'-1) code combined with
     the (m'-1, r') one. The codes that (m, r) needs are found first and then
@@ -505,57 +478,42 @@ def _maximal_with_closing(m, r, rng, budget) -> tuple[GrayCode, Address]:
         for rr in range(r, 1, -1):
             if (mm, rr) in needed and mm > 2 * rr + 1:
                 needed.update(((mm - 1, rr - 1), (mm - 1, rr)))
-    built: dict[tuple[int, int], tuple[GrayCode, Address]] = {}
+    built: dict[tuple[int, int], tuple[GrayCode, int]] = {}
     for mm, rr in sorted(needed):
         if rr == 1:
             code = GrayCode.from_bitmasks(mm, 1, [1 << i for i in range(mm)])
-            closing = Address.from_index_set(mm, (1, mm))
+            closing = 1 | 1 << (mm - 1)
         elif mm == 2 * rr + 1:
             code, closing = _maximal_base(mm, rr, rng, budget)
         else:
             light, light_closing = built[mm - 1, rr - 1]
             heavy, heavy_closing = built[mm - 1, rr]
-            perm = _alignment_permutation(
-                indices_from_mask(heavy.masks[0]), light_closing.index_set, mm - 1
-            )
-            code = combine_pair(light, apply_row_permutation(heavy, perm))
-            # The heavy code's closing union survives the permutation, with the
+            # Relabel the heavy code so that it starts on the light code's
+            # closing union; every pool stays in use.
+            table = _pool_table(heavy.masks[0], light_closing, (1 << (mm - 1)) - 1, mm - 1)
+            heavy = GrayCode(mm - 1, rr, tuple(_remap_mask(x, table) for x in heavy.masks))
+            code = combine_pair(light, heavy)
+            # The heavy code's closing union survives the relabelling, with the
             # appended row at zero.
-            table = [p - 1 for p in perm]
-            closing = Address(mm, _remap_mask(heavy_closing.bits, table))
+            closing = _remap_mask(heavy_closing, table)
         built[mm, rr] = code, closing
     return built[m, r]
 
 
-def _maximal_base(m, r, rng, budget) -> tuple[GrayCode, Address]:
+def _maximal_base(m, r, rng, budget) -> tuple[GrayCode, int]:
     """Search a maximal (2r+1, r) code that admits a closing union."""
     n = comb(m, r)
     target = balance_target(m, r, n)
     for _ in range(16):
         masks = _construct_masks(m, r, n, None, target, rng, budget)
-        code = GrayCode.from_bitmasks(m, r, masks)
-        for candidate in (code, GrayCode.from_bitmasks(m, r, masks[::-1])):
-            try:
-                return candidate, find_closing_union(candidate)
-            except ClosingUnionNotFoundError:
-                continue
+        for candidate in (masks, masks[::-1]):
+            code = GrayCode.from_bitmasks(m, r, candidate)
+            closing = _fresh_superset(m, candidate[-1], set(_unions(code)))
+            if closing is not None:
+                return code, closing
     raise ClosingUnionNotFoundError(
         f"no maximal ({m},{r}) base with a closing union found within 16 attempts"
     )
-
-
-def _alignment_permutation(src: Sequence[int], dst: Sequence[int], m: int) -> list[int]:
-    """Permutation of 1..m sending the sorted ``src`` onto the sorted ``dst`` pairwise."""
-    perm = [0] * m
-    src = sorted(src)
-    dst = sorted(dst)
-    for s, d in zip(src, dst):
-        perm[s - 1] = d
-    rest_src = [i for i in range(1, m + 1) if i not in set(src)]
-    rest_dst = [i for i in range(1, m + 1) if i not in set(dst)]
-    for s, d in zip(rest_src, rest_dst):
-        perm[s - 1] = d
-    return perm
 
 
 def _maximal_by_flip(m, r, rng, budget) -> GrayCode:
@@ -566,7 +524,7 @@ def _maximal_by_flip(m, r, rng, budget) -> GrayCode:
         return GrayCode.from_bitmasks(m, r, [full ^ 1, full ^ 2])
     src_r = m - r - 1
     src, tail = _maximal_with_closing(m, src_r, rng, budget)
-    head = _fresh_superset(m, src.masks[0], set(_unions(src)) | {tail.bits})
+    head = _fresh_superset(m, src.masks[0], set(_unions(src)) | {tail})
     if head is None:
         raise ClosingUnionNotFoundError(
             f"no leading closing union for the maximal ({m},{src_r}) source"
@@ -574,4 +532,4 @@ def _maximal_by_flip(m, r, rng, budget) -> GrayCode:
     # Any address inside ``head`` placed before the source makes ``head`` the
     # first union of the path; only the unions are complemented.
     lead = head ^ 1 << _set_bits(src.masks[0])[0]
-    return flip_complement(GrayCode(m, src_r, (lead,) + src.masks), tail)
+    return flip_complement(GrayCode(m, src_r, (lead,) + src.masks), Address(m, tail))

@@ -5,11 +5,12 @@ the pair's union, knocks out e pools (false negatives) or lights e extra
 pools (false positives), decodes, and aggregates candidate-list sizes per
 error level.
 
-The recorded candidate count is the number of items whose address is
-explainable within the error budget the observation implies: every item of
-the decoder's exact-interpretation lists plus, once an error is inferred,
-items whose address has at most that many pools outside the observation.
-An error-free observation therefore counts exactly the two decoded items.
+The recorded candidate count is the number of items explainable within the
+error budget the observation implies. An error-free observation counts
+exactly the two decoded items. After dropouts leave k observed pools it
+counts every item whose address has at most r+1-k pools outside them; with
+every union of weight r+1 that includes every pair and item the decoder
+keeps. After extra pools it counts the decoder's candidate items.
 """
 
 from __future__ import annotations
@@ -64,9 +65,18 @@ def simulate_sweep(
     Decoding runs in pure pair-detection mode unless ``allow_single`` is set.
     Candidates within the error budget are looked up, not scanned; see
     ``graypool.decode``.
+
+    Every consecutive union must have weight r+1, as on any valid code;
+    other codes raise ``ValueError``. Every pair then has r+1 pools to knock
+    out and m-r-1 to light, so no error level runs out of trials, and the
+    dropout count needs no decoding (see the module docstring).
     """
     if code.n < 2:
         raise ValueError("sweep needs a code with at least one consecutive pair")
+    decoder = PoolDecoder(code)
+    unions = decoder.union_masks
+    if any(u.bit_count() != code.r + 1 for u in unions):
+        raise ValueError(f"sweep needs every consecutive union to have weight r+1={code.r + 1}")
     if error_type not in (FALSE_NEGATIVE, FALSE_POSITIVE):
         raise ValueError(f"unknown error type {error_type!r}")
     if max_errors < 0:
@@ -89,18 +99,13 @@ def simulate_sweep(
     if mode == "sampled" and samples < 1:
         raise ValueError(f"sampled mode needs at least 1 sample per error level, got {samples}")
 
-    decoder = PoolDecoder(code)
-    unions = decoder.union_masks
     full = (1 << code.m) - 1
 
     def candidate_count(pmask: int) -> int:
-        result = decoder.decode_mask(pmask, allow_single)
         budget = code.r + 1 - pmask.bit_count()
-        if budget <= 0:
-            return len(result.candidate_items)
-        items = set(result.candidate_items)
-        items.update(decoder.addr_lookup.near(pmask, budget))
-        return len(items)
+        if budget > 0:
+            return len(decoder.addr_lookup.near(pmask, budget))
+        return len(decoder.decode_mask(pmask, allow_single).candidate_items)
 
     def flippable(u: int) -> list[int]:
         """The single-pool masks an error can flip in the outcome of union u."""

@@ -42,11 +42,13 @@ BBA_GRID = [
     if n <= length_bound(m, r)
 ]
 
-# Block lengths are pinned to per-pool occupancy targets, so the closing
-# regime of the recursive combination is left needing more addresses than a
-# width-2r code can hold at these two near-bound points; see the geometric
-# remaining-length estimate n * prod_{j=2r+1..m} (1 - r/j) against the
-# (2r, r) length bound. Runs there must fail rather than return short codes.
+# Block lengths are pinned to per-pool occupancy targets, so at these two
+# near-bound points the closing regime of the recursive combination is often
+# left needing more addresses than a width-2r code can hold; see the
+# geometric remaining-length estimate n * prod_{j=2r+1..m} (1 - r/j) against
+# the (2r, r) length bound. Runs there may exhaust the budget while
+# backtracking over joining addresses, though some seeds succeed; none may
+# return a short code.
 RC_STRUCTURALLY_INFEASIBLE = {(14, 3, 350), (14, 4, 950)}
 
 

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from graypool import load_code, validate
 from graypool.cli import main
@@ -153,6 +156,12 @@ def test_construct_rejects_non_positive_time_limit(capsys, alg, time_limit):
         ('{"m": 5, "r": 2, "n": 1, "addresses": 7}', "must be a list of pool-index lists"),
         ('{"m": 5, "r": 2, "addresses": [1, 2]}', "must be a list of pool-index lists"),
         ("[1, 2]", "a code must be a JSON object, got a JSON list"),
+        ('{"m": 5.7, "r": true, "addresses": [[1], [2]]}', "m must be an integer, got 5.7"),
+        ('{"m": 5, "r": true, "addresses": [[1], [2]]}', "r must be an integer, got True"),
+        ('{"m": "5", "r": 1, "addresses": [[1], [2]]}', "m must be an integer, got '5'"),
+        ('{"m": 5, "r": 1, "n": 2.0, "addresses": [[1], [2]]}', "n must be an integer, got 2.0"),
+        ('{"m": 5, "r": 2, "addresses": [[true, 2], [2, 3]]}', "pool index True out of range"),
+        ('{"m": 5, "r": 2, "addresses": [[1.0, 2], [2, 3]]}', "pool index 1.0 out of range"),
     ],
 )
 def test_malformed_json_code_exits_3(tmp_path, capsys, text, message):
@@ -193,3 +202,96 @@ def test_oracle_max_stops_at_node_limit_on_deep_searches(capsys):
     assert result["is_exact"] is False
     assert result["search_nodes"] == 20001
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_simulate_rejects_a_code_it_cannot_sweep(tmp_path, capsys, mode):
+    # The union of the repeated address [1] has weight 1, not r+1 = 3.
+    path = tmp_path / "code.json"
+    path.write_text('{"m": 5, "r": 2, "addresses": [[1], [1]]}')
+    argv = ["simulate", "--code", str(path), "--max-errors", "2", "--mode", mode]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "graypool: error: sweep needs every consecutive union to have weight r+1=3\n"
+
+
+# Values of every JSON type, small integers most often.
+_json_values = st.one_of(
+    st.integers(-2, 8), st.booleans(), st.floats(-2, 8), st.text(max_size=2), st.none()
+)
+_index_lists = st.lists(st.one_of(st.integers(0, 7), _json_values), max_size=4)
+_json_codes = st.one_of(
+    # Short codes over at most 6 pools, with plain integer fields.
+    st.fixed_dictionaries(
+        {
+            "m": st.integers(1, 6),
+            "r": st.integers(0, 4),
+            "addresses": st.lists(st.lists(st.integers(1, 6), max_size=4), max_size=6),
+        },
+        optional={"n": st.integers(0, 7)},
+    ),
+    # The same fields with values of the wrong type.
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "m": _json_values,
+            "r": _json_values,
+            "n": _json_values,
+            "addresses": st.one_of(_json_values, st.lists(st.one_of(_index_lists, _json_values))),
+        },
+    ),
+    st.lists(_json_values, max_size=3),
+).map(json.dumps)
+_csv_codes = st.lists(
+    st.lists(st.sampled_from(["0", "1", "1", "2", "", " x"]), max_size=6), min_size=0, max_size=6
+).map(lambda rows: "\n".join(",".join(row) for row in rows) + "\n")
+
+
+def _exit_code(argv) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return main(argv)
+    except SystemExit as exc:  # argparse rejects the arguments
+        return exc.code
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    suffix_text=st.one_of(
+        st.tuples(st.just(".json"), _json_codes), st.tuples(st.just(".csv"), _csv_codes)
+    ),
+    positives=st.lists(st.integers(-1, 8), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    max_errors=st.integers(-1, 4),
+    samples=st.integers(-1, 5),
+    error_type=st.sampled_from(["false-negative", "false-positive"]),
+)
+@example(
+    suffix_text=(".json", '{"m": 5, "r": 2, "addresses": [[1], [1]]}'),
+    positives="1",
+    max_errors=2,
+    samples=3,
+    error_type="false-negative",
+)
+def test_cli_exits_with_a_code_on_any_code_file(
+    fuzz_dir, suffix_text, positives, max_errors, samples, error_type
+):
+    suffix, text = suffix_text
+    path = fuzz_dir / f"code{suffix}"
+    path.write_text(text)
+    runs = [
+        ["validate", str(path)],
+        ["decode", "--code", str(path), "--positives", positives],
+    ]
+    for mode in ("exhaustive", "sampled"):
+        runs.append([
+            "simulate", "--code", str(path), "--max-errors", str(max_errors), "--mode", mode,
+            "--samples", str(samples), "--error-type", error_type,
+        ])
+    for argv in runs:
+        assert _exit_code(argv) in {0, 1, 2, 3}, argv

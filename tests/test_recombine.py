@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from graypool import (
     Address,
@@ -19,6 +20,8 @@ from graypool import (
     rcbba_detailed,
     validate,
 )
+from graypool.codes import _set_bits
+from graypool.recombine import _pool_table
 
 
 def test_combine_pair_reproduces_known_matrix(code_5_1_5, code_5_2_10, code_6_2_15):
@@ -220,3 +223,20 @@ def test_build_maximal_rejects_bad_parameters():
         build_maximal(3, 3)
     with pytest.raises(ValueError):
         build_maximal(4, 0)
+
+
+@given(st.data())
+def test_pool_table_relabels_a_block_onto_the_active_pools(data):
+    m = data.draw(st.integers(1, 10))
+    active = data.draw(st.integers(0, (1 << m) - 1))
+    width = active.bit_count()
+    rows = list(range(width))
+    pools = list(_set_bits(active))
+    k = data.draw(st.integers(0, width))
+    src = sum(1 << i for i in data.draw(st.permutations(rows))[:k])
+    dst = sum(1 << i for i in data.draw(st.permutations(pools))[:k])
+    table = _pool_table(src, dst, active, m)
+    assert sorted(table) == list(range(m))
+    assert [table[i] for i in _set_bits(src)] == list(_set_bits(dst))
+    assert all(active >> table[i] & 1 for i in rows)
+    assert not any(active >> table[i] & 1 for i in range(width, m))

@@ -69,6 +69,10 @@ def test_rejects_silly_parameters(code_5_2_10):
 
     with pytest.raises(ValueError):
         simulate_sweep(GrayCode.from_index_sets(4, 2, [(1, 2)]), 0)
+    # The union {1} of a repeated weight-1 address leaves no two pools to
+    # knock out, so e=2 would have no trials.
+    with pytest.raises(ValueError, match="weight r\\+1=3"):
+        simulate_sweep(GrayCode.from_index_sets(5, 2, [(1,), (1,)]), 2)
 
 
 def test_csv_output(medium_code, tmp_path):
@@ -135,7 +139,9 @@ def brute_force_sweep(code, max_errors, error_type, allow_single):
 @pytest.mark.parametrize("error_type", ["false-negative", "false-positive"])
 @pytest.mark.parametrize("allow_single", [False, True])
 def test_sweep_matches_brute_force(medium_code, code_6_2_15, error_type, allow_single):
-    for code in (medium_code, code_6_2_15):
+    # Repeated addresses and unions: invalid, but every union has weight r+1.
+    repeats = GrayCode.from_index_sets(5, 2, [(1, 2), (2, 3), (1, 2), (2, 3)])
+    for code in (medium_code, code_6_2_15, repeats):
         top = code.r if error_type == "false-negative" else code.m - code.r - 1
         records = simulate_sweep(
             code, top, mode="exhaustive", allow_single=allow_single, error_type=error_type
