@@ -243,7 +243,7 @@ _json_codes = st.one_of(
     st.lists(_json_values, max_size=3),
 ).map(json.dumps)
 _csv_codes = st.lists(
-    st.lists(st.sampled_from(["0", "1", "1", "2", "", " x"]), max_size=6), min_size=0, max_size=6
+    st.lists(st.sampled_from(["0", "1", "1", "2", "", " x"]), max_size=6), max_size=6
 ).map(lambda rows: "\n".join(",".join(row) for row in rows) + "\n")
 
 
