@@ -18,17 +18,18 @@ the per-pool occupancy target; ties go to the smaller mask. This per-pool
 key orders the candidates exactly as the variance of ``target`` minus the
 occupancy of the path extended by the candidate would, since the
 candidates differ in one pool. The first union after the start address is
-drawn at random. The order hook charges each union it opens, so union and
-address visits both count against the budget, which makes runs
-deterministic and hardware independent. A path that reaches n addresses is
-the code; a dead end backtracks.
+drawn at random. The order hook returns a lazy iterator that charges each
+union when it reaches it, yielded addresses or not, so union and address
+visits both count against the budget, which makes runs deterministic and
+hardware independent. A path that reaches n addresses is the code; a dead
+end backtracks.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .codes import Address, GrayCode, length_bound, _set_bits
@@ -112,8 +113,8 @@ def _path_search(
     ``goal(path, w)`` is asked; a true goal ends the search and returns the
     path. Otherwise ``prune(path, w)``, when given, can refuse to extend
     the path. Returns None once every path from ``start`` is exhausted.
-    ``order`` may charge visits of its own, as bba does for each union it
-    opens.
+    ``order`` may return a lazy iterator and charge visits of its own:
+    bba's charges each union when the iterator reaches it.
     """
     path: list[int] = []
     used: set[int] = set()
@@ -156,16 +157,28 @@ def _balance_order(
 ) -> Callable[[list[int], set[int], list[int]], Iterator[int]]:
     """bba's candidate order: unions, then their addresses, by the per-pool key.
 
-    Each union opened is charged to ``budget``. At the start address the
-    first union is drawn from ``rng`` and the rest follow by key.
+    At the start address the first union is drawn from ``rng`` and the rest
+    follow by key. The order is one generator over the sorted unions; it
+    charges each union to ``budget`` when it opens it, yielded addresses or
+    not. The generator keeps the unions as plain ints and keys a union's
+    addresses only when it reaches it: every open path frame holds one
+    generator, rcbba's long blocks hold thousands of frames, and keeping the
+    keyed union tuples there instead raises the peak memory of rcbba's long
+    codes by about 15%.
     """
     full = (1 << m) - 1
+    spend = budget.spend
 
-    def addresses(u: int, used: set[int], w: list[int]) -> list[int]:
-        budget.spend()
-        keyed = [(target[x] - w[x], b) for x in _set_bits(u) if (b := u ^ 1 << x) not in used]
-        keyed.sort()
-        return [b for _, b in keyed]
+    def addresses(unions: list[int], used: set[int], w: list[int]) -> Iterator[int]:
+        for u in unions:
+            spend()
+            keyed = [(target[x] - w[x], b) for x in _set_bits(u) if (b := u ^ 1 << x) not in used]
+            # Popping a reverse sort yields by ascending key and drops each
+            # tuple as it goes.
+            if len(keyed) > 1:
+                keyed.sort(reverse=True)
+            while keyed:
+                yield keyed.pop()[1]
 
     def order(path: list[int], used: set[int], w: list[int]) -> Iterator[int]:
         a = path[-1]
@@ -177,7 +190,7 @@ def _balance_order(
         unions = [u for _, u in keyed]
         if first is not None:
             unions.insert(0, first[1])
-        return chain.from_iterable(map(addresses, unions, repeat(used), repeat(w)))
+        return addresses(unions, used, w)
 
     return order
 

@@ -6,14 +6,16 @@ that the heuristic constructors are measured against. Both run on bba's
 path-search kernel: from each address they try the next addresses in
 ascending index-tuple order, skip used addresses and unions, and charge
 every address visit to a ``SearchBudget`` whose limit is the node limit;
-``search_nodes`` is the number of visits. Exponential by design; keep the
+``search_nodes`` is the number of visits. Each search keeps a move memo:
+an address's unions and neighbours are listed once, on its first visit,
+and later visits only filter that list. Exponential by design; keep the
 address count small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .bba import SearchBudget, _check_request, _path_search, _weight_masks
 from .codes import GrayCode, length_bound, _set_bits
@@ -36,31 +38,38 @@ class OracleResult:
     is_exact: bool
 
 
-def _index_order(path: list[int], used: set[int], w: list[int]) -> list[int]:
-    """The unused addresses ``b = a - x + z`` next to the tip ``a`` whose
-    union ``a + z`` is unused too, in ascending index-tuple order.
+def _index_order(m: int) -> Callable[[list[int], set[int], list[int]], Sequence[int]]:
+    """The oracles' candidate order, with one move memo per search.
 
-    The ``b`` with ``z < x`` sort first, by ``z`` ascending and then ``x``
-    descending; the rest follow by ``x`` descending and then ``z`` ascending.
+    ``order(path, used, w)`` lists the unused addresses ``b = a - x + z``
+    next to the tip ``a`` whose union ``a + z`` is unused too, in ascending
+    index-tuple order. On an address's first visit the memo stores its
+    unions and its ``(union, neighbour)`` pairs, the pairs in that order;
+    a later visit returns nothing when every union is used and otherwise
+    filters the pairs.
     """
-    a = path[-1]
-    outside = a ^ (1 << len(w)) - 1  # w has one entry per pool
-    fresh = [z for z in _set_bits(outside) if a | 1 << z not in used]
-    out: list[int] = []
-    if not fresh:
-        return out
-    inside = _set_bits(a)[::-1]
-    for z in fresh:
-        for x in inside:
-            if x < z:
-                break
-            if (b := a ^ (1 << x | 1 << z)) not in used:
-                out.append(b)
-    for x in inside:
-        for z in fresh:
-            if z > x and (b := a ^ (1 << x | 1 << z)) not in used:
-                out.append(b)
-    return out
+    moves: dict[int, tuple[frozenset[int], tuple[tuple[int, int], ...]]] = {}
+    full = (1 << m) - 1
+
+    def listed(a: int) -> tuple[frozenset[int], tuple[tuple[int, int], ...]]:
+        outside = _set_bits(full ^ a)
+        pairs = sorted(
+            ((a | 1 << z, a ^ (1 << x | 1 << z)) for x in _set_bits(a) for z in outside),
+            key=lambda pair: _set_bits(pair[1]),
+        )
+        return frozenset(a | 1 << z for z in outside), tuple(pairs)
+
+    def order(path: list[int], used: set[int], w: list[int]) -> Sequence[int]:
+        a = path[-1]
+        stored = moves.get(a)
+        if stored is None:
+            stored = moves[a] = listed(a)
+        unions, pairs = stored
+        if unions <= used:
+            return ()
+        return [b for u, b in pairs if u not in used and b not in used]
+
+    return order
 
 
 def _search(
@@ -80,9 +89,10 @@ def _search(
         raise ValueError(f"node limit must be positive, got {node_limit}")
     budget = SearchBudget(node_limit)
     starts = [(1 << r) - 1] if fix_first_address else _weight_masks(m, r)
+    order = _index_order(m)
     try:
         for start in starts:
-            if _path_search(m, start, budget, _index_order, prune, goal) is not None:
+            if _path_search(m, start, budget, order, prune, goal) is not None:
                 break
     except BudgetExhaustedError:
         return False, budget.spent

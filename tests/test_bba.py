@@ -1,12 +1,16 @@
+import importlib
 import random
 from fractions import Fraction
+from itertools import chain, repeat
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graypool import (
     Address,
     BudgetExhaustedError,
+    ConstructionError,
     InfeasibleError,
     balance_of,
     balance_target,
@@ -15,7 +19,7 @@ from graypool import (
     rcbba,
     validate,
 )
-from graypool.bba import SearchBudget, _balance_order
+from graypool.bba import SearchBudget, _balance_order, _construct_masks
 from graypool.codes import _set_bits
 
 
@@ -41,12 +45,8 @@ def test_balance_penalty_values():
     assert balance_penalty((1, 0, 1, 0), (0, 0, 0, 0)) == Fraction(1, 4)
 
 
-@given(st.data())
-def test_per_pool_key_orders_like_the_balance_penalty(data):
-    # bba ranks a candidate union or address by one pool's occupancy gap;
-    # that must order candidates as the variance of the target minus the
-    # occupancy of the path extended by the candidate would, smaller mask
-    # first on ties.
+def _tip_state(data):
+    """A random tip and the path state around it: (m, tip, used, target, w)."""
     m = data.draw(st.integers(min_value=3, max_value=8))
     r = data.draw(st.integers(min_value=1, max_value=m - 1))
     weight_r = st.sets(st.integers(0, m - 1), min_size=r, max_size=r).map(
@@ -57,6 +57,16 @@ def test_per_pool_key_orders_like_the_balance_penalty(data):
     used |= {tip | 1 << z for z in data.draw(st.sets(st.integers(0, m - 1), max_size=2))}
     target = data.draw(st.lists(st.integers(0, 30), min_size=m, max_size=m))
     w = data.draw(st.lists(st.integers(0, 30), min_size=m, max_size=m))
+    return m, tip, used, target, w
+
+
+@given(st.data())
+def test_per_pool_key_orders_like_the_balance_penalty(data):
+    # bba ranks a candidate union or address by one pool's occupancy gap;
+    # that must order candidates as the variance of the target minus the
+    # occupancy of the path extended by the candidate would, smaller mask
+    # first on ties.
+    m, tip, used, target, w = _tip_state(data)
 
     def ranked(candidates):
         def key(mask):
@@ -77,6 +87,89 @@ def test_per_pool_key_orders_like_the_balance_penalty(data):
     # Each union opened is charged.
     opened = sum(1 for z in range(m) if not tip >> z & 1 and tip | 1 << z not in used)
     assert budget.spent == opened
+
+
+@given(st.data())
+def test_balance_order_charges_each_union_when_it_opens_it(data):
+    # The order is lazy: after each address it yields, the unions opened so
+    # far, those that yielded nothing included, are exactly the ones charged.
+    m, tip, used, target, w = _tip_state(data)
+    unions = sorted(
+        (w[z] - target[z], tip | 1 << z)
+        for z in range(m)
+        if not tip >> z & 1 and tip | 1 << z not in used
+    )
+    position = {u: i for i, (_, u) in enumerate(unions)}
+    budget = SearchBudget(10**6)
+    order = _balance_order(m, target, random.Random(0), budget)
+    for b in order([0, tip], used, w):
+        assert budget.spent == position[tip | b] + 1
+    assert budget.spent == len(unions)
+
+
+def _chained_balance_order(m, target, rng, budget):
+    """bba's candidate order as a chain of per-union address lists: the
+    reference that the one-generator ``_balance_order`` must match."""
+    full = (1 << m) - 1
+
+    def addresses(u, used, w):
+        budget.spend()
+        keyed = [(target[x] - w[x], b) for x in _set_bits(u) if (b := u ^ 1 << x) not in used]
+        keyed.sort()
+        return [b for _, b in keyed]
+
+    def order(path, used, w):
+        a = path[-1]
+        keyed = [
+            (w[z] - target[z], u) for z in _set_bits(full ^ a) if (u := a | 1 << z) not in used
+        ]
+        first = keyed.pop(rng.randrange(len(keyed))) if len(path) == 1 and keyed else None
+        keyed.sort()
+        unions = [u for _, u in keyed]
+        if first is not None:
+            unions.insert(0, first[1])
+        return chain.from_iterable(map(addresses, unions, repeat(used), repeat(w)))
+
+    return order
+
+
+# The module, not the ``bba`` function that ``graypool.bba`` names as an attribute.
+_bba_module = importlib.import_module("graypool.bba")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_balance_order_matches_the_chained_reference(data):
+    # Same codes, same errors and the same visits charged, so a budget runs
+    # out at the same visit under either order.
+    m = data.draw(st.integers(min_value=2, max_value=8))
+    r = data.draw(st.integers(min_value=1, max_value=m - 1))
+    bound = length_bound(m, r)
+    # Lengths near the bound are where searches backtrack and budgets run out.
+    n = data.draw(st.integers(1, bound) | st.integers(max(1, bound - 3), bound))
+    first = data.draw(
+        st.none()
+        | st.sets(st.integers(0, m - 1), min_size=r, max_size=r).map(
+            lambda s: sum(1 << i for i in s)
+        )
+    )
+    target = data.draw(
+        st.just(balance_target(m, r, n))
+        | st.lists(st.integers(0, 2 * n), min_size=m, max_size=m)
+    )
+    seed = data.draw(st.integers(0, 2**32))
+    limit = data.draw(st.integers(min_value=1, max_value=3000))
+
+    def run(order):
+        budget = SearchBudget(limit)
+        with mock.patch.object(_bba_module, "_balance_order", order):
+            try:
+                outcome = _construct_masks(m, r, n, first, target, random.Random(seed), budget)
+            except ConstructionError as exc:
+                outcome = type(exc)
+        return outcome, budget.spent
+
+    assert run(_balance_order) == run(_chained_balance_order)
 
 
 def test_constructs_full_length_code():

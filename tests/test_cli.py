@@ -295,3 +295,56 @@ def test_cli_exits_with_a_code_on_any_code_file(
         ])
     for argv in runs:
         assert _exit_code(argv) in {0, 1, 2, 3}, argv
+
+
+@st.composite
+def _search_argv(draw):
+    """argv for construct, oracle, bound or partition on small parameters.
+
+    Every budget and node limit is at most 2000 visits, so each call stays
+    fast whatever else is drawn. Values are valid often enough that the
+    searches run, and each construct option is mostly given only to the
+    algorithms that take it.
+    """
+
+    def opt(flag, values, given=st.booleans()):
+        return [flag, str(draw(values))] if draw(given) else []
+
+    small = st.integers(1, 8) | st.integers(-1, 9)
+    command = draw(st.sampled_from(["construct", "oracle max", "oracle balance", "bound", "partition"]))
+    argv = command.split()
+    if command == "partition":
+        return argv + opt("--n-items", st.integers(-1, 40)) + opt("--d", st.integers(-1, 6))
+    argv += ["--m", str(draw(small)), "--r", str(draw(small))]
+    if command == "bound":
+        return argv
+    limit = str(draw(st.integers(-1, 2000)))
+    n = st.integers(-1, 20) | st.integers(-1, 130)
+    if command.startswith("oracle"):
+        if command == "oracle balance":
+            argv += ["--n", str(draw(n))]
+        return argv + ["--node-limit", limit]
+    alg = draw(st.sampled_from(["bba", "rcbba", "maximal"]))
+    first_address = st.one_of(
+        # Empty, not integers, out of range, or of any weight.
+        st.sampled_from(["", ",", "x", "1.5", "1,,2", "0", "10", "-1,3"]),
+        st.lists(st.integers(-1, 10), max_size=5).map(lambda xs: ",".join(map(str, xs))),
+    )
+    time_limit = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5", "1e-9", "60", "x"])
+    rarely = st.integers(0, 7).map(lambda k: k == 0)
+    return (
+        argv
+        + ["--alg", alg, "--budget", limit]
+        + opt("--n", n, st.booleans() if alg != "maximal" else rarely)
+        + opt("--first-address", first_address, st.booleans() if alg == "bba" else rarely)
+        + opt("--time-limit", time_limit, st.booleans() if alg != "maximal" else rarely)
+        + opt("--seed", st.integers(-1, 50))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_search_argv())
+def test_cli_exits_with_a_code_on_any_search_argv(argv):
+    # Regression cover: no argv of this kind was known to crash when this
+    # test was written. An escaping exception fails it.
+    assert _exit_code(argv) in {0, 1, 2, 3}, argv

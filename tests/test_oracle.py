@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from graypool import (
     InfeasibleError,
@@ -10,6 +11,8 @@ from graypool import (
     length_bound,
     validate,
 )
+from graypool.codes import _set_bits
+from graypool.oracle import _index_order
 
 
 @pytest.mark.parametrize("m,r,expected", [(3, 1, 3), (4, 2, 5), (5, 2, 10), (5, 3, 6)])
@@ -81,3 +84,27 @@ def test_heuristic_tracks_oracle_on_small_instances():
         optimum = balance_of(exhaustive_best_balance(5, 2, n)).deviation
         heuristic = balance_of(bba(5, 2, n, seed=0)).deviation
         assert optimum <= heuristic <= optimum + 2
+
+
+@given(st.data())
+def test_index_order_memo_matches_the_definition(data):
+    # One memo serves every call of a search: whatever the path uses, each
+    # call must list the fresh neighbours b = a - x + z of the tip a whose
+    # union a + z is unused, by ascending index tuple.
+    m = data.draw(st.integers(min_value=2, max_value=7))
+    r = data.draw(st.integers(min_value=1, max_value=m))
+    weight_r = st.sets(st.integers(0, m - 1), min_size=r, max_size=r).map(
+        lambda s: sum(1 << i for i in s)
+    )
+    order = _index_order(m)
+    tips = data.draw(st.lists(weight_r, min_size=1, max_size=2))
+    for tip in data.draw(st.lists(st.sampled_from(tips), min_size=2, max_size=6)):
+        outside = [z for z in range(m) if not tip >> z & 1]
+        moves = [(tip | 1 << z, tip ^ (1 << x | 1 << z)) for x in _set_bits(tip) for z in outside]
+        used = {tip} | set(data.draw(st.lists(weight_r, max_size=3)))
+        if moves:
+            used |= set(data.draw(st.lists(st.sampled_from([u for u, _ in moves]), max_size=4)))
+            used |= set(data.draw(st.lists(st.sampled_from([b for _, b in moves]), max_size=6)))
+        expected = sorted((b for u, b in moves if u not in used and b not in used), key=_set_bits)
+        assert list(order([tip], used, [0] * m)) == expected
+
