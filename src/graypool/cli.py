@@ -79,14 +79,17 @@ def cmd_bound(args) -> int:
 
 # The optional construct options each algorithm uses; any other is an error.
 _TAKES = {
-    "bba": ("--n", "--first-address", "--time-limit"),
-    "rcbba": ("--n", "--time-limit"),
+    "bba": ("--n", "--first-address", "--budget", "--time-limit"),
+    "rcbba": ("--n", "--budget", "--time-limit"),
     "maximal": (),
 }
 
 
 def cmd_construct(args) -> int:
     started = time.monotonic()
+    budget = args.budget
+    if budget is None and args.alg != "maximal":
+        budget = DEFAULT_BUDGET
     params = {
         "alg": args.alg,
         "m": args.m,
@@ -94,12 +97,13 @@ def cmd_construct(args) -> int:
         "n": args.n,
         "first_address": args.first_address,
         "seed": args.seed,
-        "budget": args.budget,
+        "budget": budget,
         "time_limit": args.time_limit,
     }
     given = {
         "--n": args.n,
         "--first-address": args.first_address,
+        "--budget": args.budget,
         "--time-limit": args.time_limit,
     }
     ignored = [f for f, value in given.items() if value is not None and f not in _TAKES[args.alg]]
@@ -107,7 +111,7 @@ def cmd_construct(args) -> int:
         raise ValueError(f"--alg {args.alg} does not take {', '.join(ignored)}")
     extra = None
     if args.alg == "maximal":
-        code = build_maximal(args.m, args.r, seed=args.seed, budget=args.budget)
+        code = build_maximal(args.m, args.r, seed=args.seed)
     else:
         if args.n is None:
             raise ValueError("--n is required for bba and rcbba")
@@ -121,7 +125,7 @@ def cmd_construct(args) -> int:
                 args.n,
                 first,
                 seed=args.seed,
-                budget=args.budget,
+                budget=budget,
                 time_limit=args.time_limit,
             )
         else:
@@ -130,7 +134,7 @@ def cmd_construct(args) -> int:
                 args.r,
                 args.n,
                 seed=args.seed,
-                budget=args.budget,
+                budget=budget,
                 time_limit=args.time_limit,
             )
             extra = {"provenance": trace.to_json_dict()}
@@ -228,7 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="code length, bba and rcbba")
     p.add_argument("--first-address", default=None, help="comma-separated pool indices, bba only")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="node-visit budget")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help=f"node-visit budget, bba and rcbba (default {DEFAULT_BUDGET})",
+    )
     p.add_argument(
         "--time-limit", type=float, default=None, help="wall-clock cap in seconds, bba and rcbba"
     )

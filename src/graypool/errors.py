@@ -21,8 +21,10 @@ class NoJoiningAddressError(ConstructionError):
     kind = "no-joining-address"
 
 
-class ClosingUnionNotFoundError(Exception):
+class ClosingUnionNotFoundError(ConstructionError):
     """No admissible closing union exists for the given code."""
+
+    kind = "no-closing-union"
 
 
 class CombinePreconditionError(ValueError):

@@ -10,7 +10,11 @@ m-r-1. ``rcbba`` drives these pieces: it repeatedly builds short codes with
 the branch-and-bound constructor, augments and permutes them so each one
 exactly fills the occupancy target of one pool, and concatenates, switching
 to a single balance-targeted search over the last 2r pools. ``build_maximal``
-uses the same calculus to reach the length bound exactly at small scale.
+uses the same calculus to reach the length bound exactly, combining codes
+down to built (2r+1, r) bases: each base is a Hamilton cycle of the
+middle-levels graph, which exists for every r by the middle levels theorem
+(Mütze, Proc. LMS 2016; Gregor, Mütze & Nummenpalo, Discrete Analysis 2018),
+and is built from two perfect matchings glued along 6-cycles, with no search.
 ``_pool_table`` is the one place where a block's pools are relabelled, for
 rcbba's blocks, its closing search and ``build_maximal``'s combinations.
 """
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb
+from itertools import combinations, takewhile
 from typing import Iterator, Sequence
 
 from .bba import (
@@ -39,6 +43,7 @@ from .codes import (
 from .errors import (
     ClosingUnionNotFoundError,
     CombinePreconditionError,
+    ConstructionError,
     InfeasibleError,
     NoJoiningAddressError,
 )
@@ -430,45 +435,40 @@ def rcbba(
     return code
 
 
-def build_maximal(
-    m: int,
-    r: int,
-    *,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
-) -> GrayCode:
+def build_maximal(m: int, r: int, *, seed: int = 0) -> GrayCode:
     """Construct a code meeting the length bound exactly.
 
     For m >= 2r+1 the code has length C(m, r): it is assembled recursively by
     combining the maximal (m-1, r-1) code with the row-permuted maximal
-    (m-1, r) code, down to singleton chains at weight 1 and searched bases at
-    m = 2r+1. For m <= 2r the bound is C(m, r+1)+1 and the code is the
+    (m-1, r) code, down to singleton chains at weight 1 and built bases at
+    m = 2r+1. A base is a Hamilton cycle of the middle-levels graph, which
+    exists for every r by the middle levels theorem (Mütze 2016), so no base
+    is searched for. For m <= 2r the bound is C(m, r+1)+1 and the code is the
     complement of a maximal union path of the (m, m-r-1) construction,
-    extended by one closing union at each end. Intended for small parameters;
-    the searched bases grow combinatorially.
+    extended by one closing union at each end. ``seed`` draws the pool
+    permutation that relabels each base.
     """
     if r < 1:
         raise ValueError("weight must be at least 1")
     if m < r + 1:
         raise ValueError(f"pool count must be at least r+1, got m={m}, r={r}")
     rng = random.Random(seed)
-    state = SearchBudget(budget)
     if m >= 2 * r + 1:
-        code, _ = _maximal_with_closing(m, r, rng, state)
+        code, _ = _maximal_with_closing(m, r, rng)
     else:
-        code = _maximal_by_flip(m, r, rng, state)
+        code = _maximal_by_flip(m, r, rng)
     report = validate(code)
     if not report.is_valid or code.n != length_bound(m, r):
         raise RuntimeError("internal error: maximal construction failed validation")
     return code
 
 
-def _maximal_with_closing(m, r, rng, budget) -> tuple[GrayCode, int]:
+def _maximal_with_closing(m, r, rng) -> tuple[GrayCode, int]:
     """Maximal (m, r) code for m >= 2r+1 together with a closing union mask.
 
     An (m', r') code above the bases is the (m'-1, r'-1) code combined with
     the (m'-1, r') one. The codes that (m, r) needs are found first and then
-    built bottom up, in ascending (m', r'). That builds the searched bases
+    built bottom up, in ascending (m', r'). That builds the bases
     (2r'+1, r') in ascending r', the order in which a depth-first descent,
     lighter code first, would reach them, so each draws the same numbers
     from ``rng``.
@@ -484,7 +484,7 @@ def _maximal_with_closing(m, r, rng, budget) -> tuple[GrayCode, int]:
             code = GrayCode.from_bitmasks(mm, 1, [1 << i for i in range(mm)])
             closing = 1 | 1 << (mm - 1)
         elif mm == 2 * rr + 1:
-            code, closing = _maximal_base(mm, rr, rng, budget)
+            code, closing = _maximal_base(mm, rr, rng)
         else:
             light, light_closing = built[mm - 1, rr - 1]
             heavy, heavy_closing = built[mm - 1, rr]
@@ -500,30 +500,185 @@ def _maximal_with_closing(m, r, rng, budget) -> tuple[GrayCode, int]:
     return built[m, r]
 
 
-def _maximal_base(m, r, rng, budget) -> tuple[GrayCode, int]:
-    """Search a maximal (2r+1, r) code that admits a closing union."""
-    n = comb(m, r)
-    target = balance_target(m, r, n)
-    for _ in range(16):
-        masks = _construct_masks(m, r, n, None, target, rng, budget)
-        for candidate in (masks, masks[::-1]):
-            code = GrayCode.from_bitmasks(m, r, candidate)
-            closing = _fresh_superset(m, candidate[-1], set(_unions(code)))
-            if closing is not None:
-                return code, closing
-    raise ClosingUnionNotFoundError(
-        f"no maximal ({m},{r}) base with a closing union found within 16 attempts"
+def _maximal_base(m, r, rng) -> tuple[GrayCode, int]:
+    """Build a maximal (2r+1, r) code and its closing union, with no search.
+
+    The middle-levels graph joins each weight-r address to the r+1
+    weight-(r+1) unions that contain it. A maximal code with a closing union
+    is a Hamilton cycle of that graph: its addresses in code order, each
+    consecutive union between two of them, and the closing union between the
+    last address and the first. Two edge-disjoint perfect matchings make a
+    2-factor, ``_glue`` joins its cycles into one, and cutting that cycle at
+    a union leaves the code with that union as its closing union. The pools
+    are then relabelled by a permutation drawn from ``rng``.
+    """
+    addresses = [sum(1 << i for i in pools) for pools in combinations(range(m), r)]
+
+    def ups(a):
+        return [a | 1 << z for z in range(m) if not a >> z & 1]
+
+    first = _perfect_matching(addresses, ups)
+    second = _perfect_matching(addresses, lambda a: [u for u in ups(a) if u != first[a]])
+    # Each vertex, address or union, lists its two neighbours on its cycle.
+    cycles = {v: [first[v], second[v]] for v in first}
+    _glue(cycles, addresses)
+    start = addresses[0]
+    closing = cycles[start][0]
+    path = list(takewhile(lambda v: v != closing, _around(cycles, closing, start)))
+    perm = rng.sample(range(m), m)
+    return (
+        GrayCode(m, r, tuple(_remap_mask(a, perm) for a in path[::2])),
+        _remap_mask(closing, perm),
     )
 
 
-def _maximal_by_flip(m, r, rng, budget) -> GrayCode:
+def _perfect_matching(addresses, ups) -> dict[int, int]:
+    """Match every address to one of the unions ``ups`` lists for it.
+
+    The result maps each address to its union and each union to its address.
+    Addresses join one at a time along an augmenting path found breadth
+    first. Both graphs matched here, the middle-levels graph and that graph
+    less one perfect matching, are regular and bipartite, so by Hall's
+    theorem every address finds a path.
+    """
+    mate: dict[int, int] = {}
+    for root in addresses:
+        reached: dict[int, int] = {}  # union -> the address it was reached from
+        queue = [root]
+        free = None
+        for a in queue:
+            for u in ups(a):
+                if u in reached:
+                    continue
+                reached[u] = a
+                if u not in mate:
+                    free = u
+                    break
+                queue.append(mate[u])
+            if free is not None:
+                break
+        if free is None:
+            raise RuntimeError("internal error: no augmenting path in a regular bipartite graph")
+        while free is not None:
+            a = reached[free]
+            mate[free], mate[a], free = a, free, mate.get(a)
+    return mate
+
+
+def _glue(cycles: dict[int, list[int]], addresses: list[int]) -> None:
+    """Join the cycles of the 2-factor ``cycles`` into one, in place.
+
+    Each step flips an alternating 6-cycle (``_six_cycles``): its three
+    2-factor edges leave the 2-factor and its other three edges enter. When
+    the three 2-factor edges lie on three distinct cycles the flip always
+    joins them into one. When they lie on two, it joins them only for one of
+    the two orders in which the doubled cycle can run (``_joins_two``). A
+    first sweep takes only three-cycle flips, which need no walk; later
+    sweeps take both. Cycle ids merge in a union-find over the start
+    addresses of the first labelling.
+    """
+    label: dict[int, int] = {}
+    for v in addresses:
+        for w in _around(cycles, cycles[v][1], v):
+            if w in label:
+                break
+            label[w] = v
+    root = {v: v for v in set(label.values())}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    count = len(root)
+    for two_cycle in (False, True):
+        merged = True
+        while merged and count > 1:
+            merged = False
+            for a in addresses:
+                for six in _six_cycles(cycles, a):
+                    ids = [find(label[v]) for v in six[::2]]
+                    distinct = len(set(ids))
+                    if distinct == 3 or (
+                        two_cycle and distinct == 2 and _joins_two(cycles, six, ids)
+                    ):
+                        _flip(cycles, six)
+                        for i in ids:
+                            root[i] = ids[0]
+                        count -= distinct - 1
+                        merged = True
+                        break
+    if count > 1:
+        r = addresses[0].bit_count()
+        raise ConstructionError(
+            f"gluing the ({2 * r + 1},{r}) middle-levels 2-factor stalled with {count} cycles left"
+        )
+
+
+def _around(cycles, prev, cur) -> Iterator[int]:
+    """Walk ``cur``'s cycle from ``cur`` onward, away from its neighbour ``prev``; endless."""
+    while True:
+        yield cur
+        left, right = cycles[cur]
+        prev, cur = cur, right if left == prev else left
+
+
+def _six_cycles(cycles, a) -> Iterator[tuple[int, ...]]:
+    """The alternating 6-cycles at address ``a`` that start on a 2-factor edge.
+
+    Each is (a, u, b, w, c, t) = (S+x, S+x+y, S+y, S+y+z, S+z, S+z+x) for a
+    weight-(r-1) set S and three pools x, y, z outside it. The edges a-u,
+    b-w and c-t lie in the 2-factor; u-b, w-c and t-a do not.
+    """
+    for u in cycles[a]:
+        y = u ^ a
+        for x in _set_bits(a):
+            s = a ^ 1 << x
+            b = s | y
+            if b in cycles[u]:
+                continue
+            for w in cycles[b]:
+                z = w ^ b
+                c, t = s | z, a | z
+                if t in cycles[c] and c not in cycles[w] and a not in cycles[t]:
+                    yield a, u, b, w, c, t
+
+
+def _joins_two(cycles, six, ids) -> bool:
+    """Whether flipping ``six``, whose 2-factor edges lie on two cycles, joins them.
+
+    Rotated so that its edges v0-v1 and v2-v3 lie on one cycle, the flip
+    joins iff that cycle, walked from v1 away from v0, meets v3 before v2;
+    otherwise v1-v2 closes a cycle of its own. Walked from v0 away from v1
+    it then meets v2 first. Both walks run in step and the first to arrive
+    decides.
+    """
+    shift = 0 if ids[0] == ids[1] else 2 if ids[1] == ids[2] else 4
+    v0, v1, v2, v3 = (six[shift:] + six[:shift])[:4]
+    for ahead, back in zip(_around(cycles, v0, v1), _around(cycles, v1, v0)):
+        if ahead in (v2, v3):
+            return ahead == v3
+        if back in (v2, v3):
+            return back == v2
+
+
+def _flip(cycles, six) -> None:
+    """Swap the 6-cycle's 2-factor edges a-u, b-w, c-t for u-b, w-c, t-a."""
+    a, u, b, w, c, t = six
+    for v, old, new in ((a, u, t), (u, a, b), (b, w, u), (w, b, c), (c, t, w), (t, c, a)):
+        row = cycles[v]
+        row[row.index(old)] = new
+
+
+def _maximal_by_flip(m, r, rng) -> GrayCode:
     """Maximal (m, r) code for r+1 <= m <= 2r via a complemented union path."""
     full = (1 << m) - 1
     if r == m - 1:
         # One union fits: the all-one vector between the complements of two singletons.
         return GrayCode.from_bitmasks(m, r, [full ^ 1, full ^ 2])
     src_r = m - r - 1
-    src, tail = _maximal_with_closing(m, src_r, rng, budget)
+    src, tail = _maximal_with_closing(m, src_r, rng)
     head = _fresh_superset(m, src.masks[0], set(_unions(src)) | {tail})
     if head is None:
         raise ClosingUnionNotFoundError(

@@ -179,6 +179,7 @@ def test_malformed_json_code_exits_3(tmp_path, capsys, text, message):
         (["--alg", "maximal", "--n", "3"], "--n"),
         (["--alg", "maximal", "--first-address", "1,2"], "--first-address"),
         (["--alg", "maximal", "--time-limit", "0.000001"], "--time-limit"),
+        (["--alg", "maximal", "--budget", "100"], "--budget"),
         (
             ["--alg", "maximal", "--n", "3", "--first-address", "1,2",
              "--time-limit", "0.000001"],
@@ -192,6 +193,28 @@ def test_construct_rejects_options_its_algorithm_ignores(capsys, argv, flags):
     err = capsys.readouterr().err
     alg = argv[1]
     assert err == f"graypool: error: --alg {alg} does not take {flags}\n"
+
+
+@pytest.mark.parametrize(
+    "name,replacement,argv,kind",
+    [
+        # The (6, 1) flip source of a maximal (6, 4) code is left with no
+        # leading closing union.
+        ("_fresh_superset", lambda m, mask, used: None, ["--m", "6", "--r", "4"],
+         "no-closing-union"),
+        # With no 6-cycle to flip, the (7, 3) base's 2-factor keeps its cycles.
+        ("_six_cycles", lambda cycles, a: iter(()), ["--m", "8", "--r", "3"],
+         "construction-failed"),
+    ],
+)
+def test_construct_reports_a_failed_maximal_build_in_one_line(
+    capsys, monkeypatch, name, replacement, argv, kind
+):
+    monkeypatch.setattr(f"graypool.recombine.{name}", replacement)
+    assert main(["construct", "--alg", "maximal", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"graypool: construction failed ({kind}): ")
 
 
 def test_oracle_max_stops_at_node_limit_on_deep_searches(capsys):
@@ -334,7 +357,8 @@ def _search_argv(draw):
     rarely = st.integers(0, 7).map(lambda k: k == 0)
     return (
         argv
-        + ["--alg", alg, "--budget", limit]
+        + ["--alg", alg]
+        + opt("--budget", st.just(limit), st.just(True) if alg != "maximal" else rarely)
         + opt("--n", n, st.booleans() if alg != "maximal" else rarely)
         + opt("--first-address", first_address, st.booleans() if alg == "bba" else rarely)
         + opt("--time-limit", time_limit, st.booleans() if alg != "maximal" else rarely)

@@ -23,7 +23,7 @@ CONSTRUCT_CASES = {
     "maximal-6-4": ("maximal", 6, 4, None, 0, ()),
     "maximal-7-4": ("maximal", 7, 4, None, 1, ()),
     "maximal-9-2": ("maximal", 9, 2, None, 0, ()),
-    # Two searched bases, (5, 2) and (7, 3), draw from one generator.
+    # Two built bases, (5, 2) and (7, 3), draw their pool permutations from one generator.
     "maximal-8-3": ("maximal", 8, 3, None, 0, ()),
 }
 
@@ -68,16 +68,16 @@ GOLDEN = {
     "rcbba-18-6-1000-s0.csv": "62143dd0ab66b43e5f126d62fe7bd80aac9086966957ae32d666f3ac5f673d88",
     "rcbba-8-4-40-s3.json": "8c0cab9172c229512b0f3a91b763ac38d48b846374e593a85ac27c40e0da6a15",
     "rcbba-8-4-40-s3.csv": "0c43e184e1d845ca2b554d6c735abe6900456c629f820050d2cc486438e8dc28",
-    "maximal-5-2.json": "9935cd4fa176816bca463cd576db1104355fdd08321ed8c99877b79d1a6a9f06",
-    "maximal-5-2.csv": "d9eb85ddf614fe8013a7708b6930c6317fe2a98f95e67cd7323678e31f70d4dd",
+    "maximal-5-2.json": "a22d0bdcead6e9de1b2bc9171295edbd602c344526c08ad2cfb6c26541d88e38",
+    "maximal-5-2.csv": "bd68999afb1063ad9b9d4efdf0a94f89ac3d52af568ffd51c9f2967dd45795ac",
     "maximal-6-4.json": "742aab227b98e40e8a34ac6a928ba834e667dcf397dd327d6019304dce03c3a7",
     "maximal-6-4.csv": "89f1d2d6e3ba5d6b6ad4579fa5fb075db07be6341b4a8bed09d53cdce2bb1c24",
-    "maximal-7-4.json": "165f55d09e9c60963aa5d71206b9b12c62fb44d9299ee04417e33cc7f140ea11",
-    "maximal-7-4.csv": "dd6f5283f8cd0732554e97ac5e98e5c5c584025f5e7f8ddbf7d0f38cf31898e6",
-    "maximal-9-2.json": "0e626624d386df33341837c9fcc4004aaff1250630d4c7a01b93e9ad564e7834",
-    "maximal-9-2.csv": "ecdb52f373254417bd385bcc143f230d6d21423bfcfe1e9aa374d9f203f49e3b",
-    "maximal-8-3.json": "9049065ac1e9951248acf9b07f89f02da89adba16fe913f5708c75c2f628f996",
-    "maximal-8-3.csv": "614635112ae7191ec94d7d4e1c590d6a2024a0f3246ec5c5c99301debb50c824",
+    "maximal-7-4.json": "8d216f6e5f22e7071e8c3d1124d4dfafe5b5e87cbf9824cf79a4459b63006209",
+    "maximal-7-4.csv": "39b785a548c667cc97568ceec8c01ad6e2f587dc4395625ff22681b0fc586138",
+    "maximal-9-2.json": "cec69367fe9a22702d5e2c67fefbf43de4a5724e07e6d10c06748bc04da7937a",
+    "maximal-9-2.csv": "a7406ad26d354d7c2917b2fdc1268ce565525ba7e6d69cc7bfd5a8eaad881bee",
+    "maximal-8-3.json": "b0960c381c9accdbe1e70432bea2de1e149d88cebf9f271173d5cd7a76804841",
+    "maximal-8-3.csv": "43558f4e2605b63e66b28d26dc1038d8584bde00161c51329410263d3b5a7867",
     "simulate-fn-exhaustive": "194e41ea85f2d4b58ded3c512c0708b8057b17cf98904290518dbd1d8baa5064",
     "simulate-fp-exhaustive": "3fb0d8f2d9bf316fb9fd7b595051fe3f9875a455a7e1120dbac85332456ca39a",
     "simulate-fn-sampled": "31e13114aa4c7cf6e364854940249458705dbbefe89fe8c49d0950ed44ab11ad",

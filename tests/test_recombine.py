@@ -1,5 +1,8 @@
+import random
+from itertools import combinations
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graypool import (
     Address,
@@ -21,7 +24,7 @@ from graypool import (
     validate,
 )
 from graypool.codes import _set_bits
-from graypool.recombine import _pool_table
+from graypool.recombine import _maximal_base, _maximal_with_closing, _pool_table
 
 
 def test_combine_pair_reproduces_known_matrix(code_5_1_5, code_5_2_10, code_6_2_15):
@@ -202,7 +205,11 @@ def test_rcbba_consumed_pools_land_on_their_targets():
 
 @pytest.mark.parametrize(
     "m,r,expected_n",
-    [(5, 2, 10), (6, 2, 15), (4, 2, 5), (5, 3, 6), (6, 3, 16), (3, 2, 2)],
+    [
+        (5, 2, 10), (6, 2, 15), (4, 2, 5), (5, 3, 6), (6, 3, 16), (3, 2, 2),
+        # These ran out of the default budget while their bases were searched for.
+        (9, 4, 126), (10, 4, 210), (11, 5, 462),
+    ],
 )
 def test_build_maximal_meets_bound(m, r, expected_n):
     assert length_bound(m, r) == expected_n
@@ -216,6 +223,36 @@ def test_build_maximal_meets_bound(m, r, expected_n):
 def test_build_maximal_full_enumeration_is_perfectly_balanced():
     assert balance_of(build_maximal(5, 2)).deviation == 0
     assert balance_of(build_maximal(6, 2)).deviation == 0
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_build_maximal_meets_its_definition(data):
+    m = data.draw(st.integers(3, 12))
+    r = data.draw(st.integers(1, m - 1))
+    seed = data.draw(st.integers(0, 2**32))
+    code = build_maximal(m, r, seed=seed)
+    assert validate(code).is_valid and code.n == length_bound(m, r)
+    if m >= 2 * r + 1:
+        assert balance_of(code).deviation == 0
+        again, closing = _maximal_with_closing(m, r, random.Random(seed))
+        assert again.masks == code.masks
+        assert closing & code.masks[-1] == code.masks[-1] and closing.bit_count() == r + 1
+        assert closing not in {u.bits for u in consecutive_unions(code)}
+    else:
+        assert build_maximal(m, r, seed=seed).masks == code.masks
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_maximal_base_is_a_middle_levels_hamilton_cycle(r):
+    # Every weight-r address appears once, and every weight-(r+1) union once,
+    # counting the closing union that joins the last address to the first.
+    m = 2 * r + 1
+    code, closing = _maximal_base(m, r, random.Random(r))
+    unions = [a | b for a, b in zip(code.masks, code.masks[1:])] + [closing]
+    assert sorted(code.masks) == sorted(sum(1 << i for i in c) for c in combinations(range(m), r))
+    assert sorted(unions) == sorted(sum(1 << i for i in c) for c in combinations(range(m), r + 1))
+    assert closing == code.masks[-1] | code.masks[0]
 
 
 def test_build_maximal_rejects_bad_parameters():
