@@ -179,13 +179,13 @@ def test_malformed_json_code_exits_3(tmp_path, capsys, text, message):
         (["--alg", "maximal", "--n", "3"], "--n"),
         (["--alg", "maximal", "--first-address", "1,2"], "--first-address"),
         (["--alg", "maximal", "--time-limit", "0.000001"], "--time-limit"),
-        (["--alg", "maximal", "--budget", "100"], "--budget"),
         (
             ["--alg", "maximal", "--n", "3", "--first-address", "1,2",
              "--time-limit", "0.000001"],
             "--n, --first-address, --time-limit",
         ),
         (["--alg", "rcbba", "--n", "10", "--first-address", "1,2"], "--first-address"),
+        (["--alg", "maximal", "--budget", "100"], "--budget"),
     ],
 )
 def test_construct_rejects_options_its_algorithm_ignores(capsys, argv, flags):
