@@ -32,7 +32,7 @@ import time
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .codes import Address, GrayCode, length_bound, _set_bits
+from .codes import GrayCode, length_bound, _set_bits
 from .errors import BudgetExhaustedError, InfeasibleError
 from .validate import validate
 
@@ -232,7 +232,7 @@ def bba(
     m: int,
     r: int,
     n: int,
-    first_address: Address | None = None,
+    first_address: int | None = None,
     target_balance: Sequence[int] | None = None,
     *,
     seed: int = 0,
@@ -241,24 +241,20 @@ def bba(
 ) -> GrayCode:
     """Construct an (m, r, n) code by balance-guided depth-first search.
 
-    ``first_address`` pins the first address; otherwise it is drawn uniformly
-    from the weight-r vectors using ``seed``. ``target_balance`` is the
-    per-pool occupancy target; it defaults to the near-uniform target of
-    ``balance_target``.
+    ``first_address``, a weight-r mask over the m pools, pins the first
+    address; otherwise it is drawn uniformly from the weight-r masks using
+    ``seed``. ``target_balance`` is the per-pool occupancy target; it
+    defaults to the near-uniform target of ``balance_target``.
 
     Raises InfeasibleError when ``n`` exceeds the length bound or the
     exhaustive search proves no code exists, and BudgetExhaustedError when
     the node-visit budget (or ``time_limit`` seconds) runs out first.
-
-    The union path the search walked is recoverable from the result: it is
-    exactly ``consecutive_unions(code)``, since each step's union joins the
-    two addresses around it.
     """
     _check_request(m, r, n)
     if first_address is not None:
-        if first_address.m != m:
-            raise ValueError("first address length does not match m")
-        if first_address.weight != r:
+        if first_address < 0 or first_address.bit_length() > m:
+            raise ValueError(f"first address {first_address:#x} out of range for m={m}")
+        if first_address.bit_count() != r:
             raise ValueError(f"first address must have weight {r}")
     if target_balance is None:
         target_balance = balance_target(m, r, n)
@@ -273,16 +269,8 @@ def bba(
 
     rng = random.Random(seed)
     state = SearchBudget(budget, time_limit)
-    masks = _construct_masks(
-        m,
-        r,
-        n,
-        first_address.bits if first_address is not None else None,
-        target_balance,
-        rng,
-        state,
-    )
-    code = GrayCode.from_bitmasks(m, r, masks)
+    masks = _construct_masks(m, r, n, first_address, target_balance, rng, state)
+    code = GrayCode(m, r, masks)
     report = validate(code)
     if not report.is_valid:
         raise RuntimeError(f"internal error: constructed code fails validation: {report.violations[:3]}")

@@ -16,13 +16,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .codes import (
-    Address,
-    code_to_json_dict,
-    length_bound,
-    load_code,
-    save_code,
-)
+from .codes import code_to_json_dict, length_bound, load_code, mask_from_indices, save_code
 from .bba import DEFAULT_BUDGET, bba
 from .decode import PoolDecoder, partition_items
 from .errors import ConstructionError, NodeLimitError
@@ -118,7 +112,7 @@ def cmd_construct(args) -> int:
         if args.alg == "bba":
             first = None
             if args.first_address:
-                first = Address.from_index_set(args.m, _parse_indices(args.first_address))
+                first = mask_from_indices(_parse_indices(args.first_address), args.m)
             code = bba(
                 args.m,
                 args.r,
@@ -299,7 +293,7 @@ def main(argv=None) -> int:
     except NodeLimitError as exc:
         print(f"graypool: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, OverflowError, RecursionError) as exc:
         print(f"graypool: error: {exc}", file=sys.stderr)
         return 3
 

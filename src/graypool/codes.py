@@ -1,8 +1,11 @@
-"""Core model: addresses, codes, incidence matrices, and balance statistics.
+"""Core model: codes, incidence matrices, and balance statistics.
 
-An address is a fixed-length binary vector stored as an int bitmask where bit
-``i - 1`` holds pool ``i``. Pool indices are 1-based in every public
-interface; the bitmask layout is internal. All types are immutable values.
+An address is an int bitmask where bit ``i - 1`` holds pool ``i``; it is
+the library's only representation of an address, in and out of its public
+functions. Pools are numbered from 1 only at the edges, where pool numbers
+are read or written: JSON and CSV files, the CLI, ``GrayCode.from_index_sets``,
+``PoolDecoder.decode``, ``apply_row_permutation`` and ``CombinationTrace``.
+All types are immutable values.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def mask_from_indices(indices: Iterable[int], m: int) -> int:
@@ -60,62 +63,6 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Address:
-    """Binary vector of length ``m`` over pools, stored as a bitmask."""
-
-    m: int
-    bits: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"pool count must be at least 1, got {self.m}")
-        if not 0 <= self.bits < (1 << self.m):
-            raise ValueError(f"bitmask {self.bits:#x} out of range for m={self.m}")
-
-    @classmethod
-    def from_index_set(cls, m: int, indices: Iterable[int]) -> "Address":
-        return cls(m, mask_from_indices(indices, m))
-
-    @classmethod
-    def from_bit_vector(cls, bits: Sequence[int]) -> "Address":
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("bit vector entries must be 0 or 1")
-        mask = 0
-        for i, b in enumerate(bits):
-            if b:
-                mask |= 1 << i
-        return cls(len(bits), mask)
-
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    @property
-    def index_set(self) -> tuple[int, ...]:
-        return indices_from_mask(self.bits)
-
-    def bit_vector(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.m))
-
-    def __repr__(self) -> str:
-        return f"Address(m={self.m}, {{{','.join(map(str, self.index_set))}}})"
-
-
-def or_sum(a: Address, b: Address) -> Address:
-    """Bitwise OR of two equal-length binary vectors (index-set union)."""
-    if a.m != b.m:
-        raise ValueError(f"length mismatch: {a.m} != {b.m}")
-    return Address(a.m, a.bits | b.bits)
-
-
-def hamming_distance(a: Address, b: Address) -> int:
-    """Number of positions where two equal-length binary vectors differ."""
-    if a.m != b.m:
-        raise ValueError(f"length mismatch: {a.m} != {b.m}")
-    return (a.bits ^ b.bits).bit_count()
-
-
-@dataclass(frozen=True)
 class BalanceVector:
     """Per-pool occupancy counts of a code."""
 
@@ -133,12 +80,12 @@ class BalanceVector:
 class GrayCode:
     """Ordered sequence of addresses over ``m`` pools with declared weight ``r``.
 
-    The addresses are stored as int bitmasks, bit ``i - 1`` for pool ``i``;
-    ``addresses`` builds ``Address`` views of them on demand. The
-    constructor enforces shape only (every mask fits in ``m`` pools).
-    Whether the sequence actually satisfies the code constraints, including
-    that every address has weight ``r``, is reported by ``validate``; partial
-    and invalid sequences are legal values during construction.
+    ``masks`` holds the addresses as int bitmasks, bit ``i - 1`` for pool
+    ``i``; any iterable of masks is stored as a tuple. The constructor
+    enforces shape only (every mask fits in ``m`` pools). Whether the
+    sequence actually satisfies the code constraints, including that every
+    address has weight ``r``, is reported by ``validate``; partial and
+    invalid sequences are legal values during construction.
     """
 
     m: int
@@ -158,10 +105,6 @@ class GrayCode:
         object.__setattr__(self, "masks", masks)
 
     @classmethod
-    def from_bitmasks(cls, m: int, r: int, masks: Iterable[int]) -> "GrayCode":
-        return cls(m, r, tuple(masks))
-
-    @classmethod
     def from_index_sets(cls, m: int, r: int, sets: Iterable[Iterable[int]]) -> "GrayCode":
         return cls(m, r, tuple(mask_from_indices(s, m) for s in sets))
 
@@ -169,17 +112,8 @@ class GrayCode:
     def n(self) -> int:
         return len(self.masks)
 
-    @property
-    def addresses(self) -> tuple[Address, ...]:
-        return tuple(Address(self.m, x) for x in self.masks)
-
     def bitmasks(self) -> tuple[int, ...]:
         return self.masks
-
-
-def consecutive_unions(code: GrayCode) -> tuple[Address, ...]:
-    """OR-sums of each adjacent address pair; empty for codes shorter than 2."""
-    return tuple(Address(code.m, a | b) for a, b in zip(code.masks, code.masks[1:]))
 
 
 def balance_of(code: GrayCode) -> BalanceVector:
@@ -241,7 +175,7 @@ def from_incidence(matrix: IncidenceMatrix, r: int | None = None) -> GrayCode:
         masks = [x | 1 << i if bit else x for x, bit in zip(masks, row)]
     if r is None:
         r = masks[0].bit_count() if masks else 0
-    return GrayCode.from_bitmasks(matrix.m, r, masks)
+    return GrayCode(matrix.m, r, masks)
 
 
 def incidence_to_csv(matrix: IncidenceMatrix) -> str:

@@ -23,27 +23,13 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
-from .codes import GrayCode
+from .codes import GrayCode, mask_from_indices
 
 EXACT_PAIR = "exact-pair"
 EXACT_SINGLE = "exact-single"
 ERROR_FALSE_NEGATIVE = "error-false-negative"
 ERROR_FALSE_POSITIVE = "error-false-positive"
 AMBIGUOUS = "ambiguous"
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """Set of positive pool indices observed in one experiment."""
-
-    positive_pools: frozenset[int]
-
-    def __post_init__(self):
-        pools = frozenset(self.positive_pools)
-        for p in pools:
-            if not isinstance(p, int) or p < 1:
-                raise ValueError(f"pool indices must be positive integers, got {p!r}")
-        object.__setattr__(self, "positive_pools", pools)
 
 
 @dataclass(frozen=True)
@@ -202,17 +188,9 @@ class PoolDecoder:
         self.union_lookup = _MaskLookup(self.m, self.union_masks, self.union_index)
         self.addr_lookup = _MaskLookup(self.m, self.addr_masks, self.addr_index)
 
-    def decode(self, positives: "Outcome | Iterable[int]", allow_single: bool = True) -> DecodeResult:
-        if isinstance(positives, Outcome):
-            pools = positives.positive_pools
-        else:
-            pools = set(positives)
-        mask = 0
-        for p in pools:
-            if not 1 <= p <= self.m:
-                raise ValueError(f"pool index {p} out of range 1..{self.m}")
-            mask |= 1 << (p - 1)
-        return self.decode_mask(mask, allow_single)
+    def decode(self, positives: Iterable[int], allow_single: bool = True) -> DecodeResult:
+        """Decode the observed positive pools, given as 1-based indices."""
+        return self.decode_mask(mask_from_indices(positives, self.m), allow_single)
 
     def decode_mask(self, pmask: int, allow_single: bool = True) -> DecodeResult:
         r = self.r
@@ -270,11 +248,6 @@ class PoolDecoder:
             tuple(sorted(items)),
             tuple(pairs),
         )
-
-
-def decode(code: GrayCode, positives: "Outcome | Iterable[int]", allow_single: bool = True) -> DecodeResult:
-    """One-shot decode; build a PoolDecoder when decoding many outcomes."""
-    return PoolDecoder(code).decode(positives, allow_single)
 
 
 def partition_items(n_items: int, d: int) -> list[tuple[int, int]]:

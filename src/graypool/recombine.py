@@ -33,13 +33,7 @@ from .bba import (
     _construct_masks,
     balance_target,
 )
-from .codes import (
-    Address,
-    GrayCode,
-    balance_of,
-    length_bound,
-    _set_bits,
-)
+from .codes import GrayCode, balance_of, length_bound, _set_bits
 from .errors import (
     ClosingUnionNotFoundError,
     CombinePreconditionError,
@@ -90,29 +84,11 @@ def apply_row_permutation(code: GrayCode, perm: Sequence[int]) -> GrayCode:
     if sorted(perm) != list(range(1, code.m + 1)):
         raise ValueError(f"not a permutation of 1..{code.m}: {list(perm)}")
     table = [p - 1 for p in perm]
-    return GrayCode.from_bitmasks(
-        code.m, code.r, [_remap_mask(bits, table) for bits in code.masks]
-    )
+    return GrayCode(code.m, code.r, [_remap_mask(bits, table) for bits in code.masks])
 
 
 def _remap_mask(mask: int, table: Sequence[int]) -> int:
     return sum(1 << table[i] for i in _set_bits(mask))
-
-
-def find_closing_union(code: GrayCode) -> Address:
-    """Smallest weight-(r+1) superset of the last address unused as a consecutive union.
-
-    Candidates are scanned in ascending index order, so the result is the
-    lexicographically smallest admissible index set.
-    """
-    if code.n == 0:
-        raise ValueError("cannot close an empty code")
-    closing = _fresh_superset(code.m, code.masks[-1], set(_unions(code)))
-    if closing is None:
-        raise ClosingUnionNotFoundError(
-            f"every weight-{code.r + 1} superset of the last address is already a union"
-        )
-    return Address(code.m, closing)
 
 
 def _fresh_superset(m: int, mask: int, used: set[int]) -> int | None:
@@ -120,8 +96,8 @@ def _fresh_superset(m: int, mask: int, used: set[int]) -> int | None:
     return next((u for z in range(m) if (u := mask | 1 << z) != mask and u not in used), None)
 
 
-def flip_complement(code: GrayCode, closing: Address) -> GrayCode:
-    """Complement the union path (u_1, ..., u_{n-1}, closing) bit by bit.
+def flip_complement(code: GrayCode, closing: int) -> GrayCode:
+    """Complement the union path (u_1, ..., u_{n-1}, closing mask) bit by bit.
 
     The complements form an (m, m-r-1, n) code: adjacent path unions share
     exactly the address between them, so their complements sit at Hamming
@@ -130,18 +106,17 @@ def flip_complement(code: GrayCode, closing: Address) -> GrayCode:
     """
     if code.n == 0:
         raise ValueError("cannot flip an empty code")
-    if closing.m != code.m:
-        raise ValueError("closing union length does not match the code")
-    last = code.masks[-1]
-    if closing.bits | last != closing.bits:
+    if closing < 0 or closing.bit_length() > code.m:
+        raise ValueError(f"closing union {closing:#x} out of range for m={code.m}")
+    if closing | code.masks[-1] != closing:
         raise ValueError("closing union must contain the last address")
-    if closing.weight != code.r + 1:
+    if closing.bit_count() != code.r + 1:
         raise ValueError(f"closing union must have weight {code.r + 1}")
-    path = _unions(code) + [closing.bits]
-    if closing.bits in path[:-1]:
+    path = _unions(code) + [closing]
+    if closing in path[:-1]:
         raise ValueError("closing union duplicates a consecutive union of the code")
     full = (1 << code.m) - 1
-    return GrayCode.from_bitmasks(code.m, code.m - code.r - 1, [full ^ u for u in path])
+    return GrayCode(code.m, code.m - code.r - 1, [full ^ u for u in path])
 
 
 def _unions(code: GrayCode) -> list[int]:
@@ -405,14 +380,14 @@ def rcbba_detailed(
 
     if m <= 2 * r or r == 1 or w_ini[m - 1] == 0:
         masks = _construct_masks(m, r, n, None, w_ini, rng, state)
-        code = GrayCode.from_bitmasks(m, r, masks)
+        code = GrayCode(m, r, masks)
         trace = CombinationTrace(
             (n,), (), tuple(w_ini), balance_of(code).counts
         )
     else:
         builder = _RecursiveCombiner(m, r, n, w_ini, rng, state)
         masks = builder.run()
-        code = GrayCode.from_bitmasks(m, r, masks)
+        code = GrayCode(m, r, masks)
         trace = builder.trace()
 
     report = validate(code)
@@ -481,7 +456,7 @@ def _maximal_with_closing(m, r, rng) -> tuple[GrayCode, int]:
     built: dict[tuple[int, int], tuple[GrayCode, int]] = {}
     for mm, rr in sorted(needed):
         if rr == 1:
-            code = GrayCode.from_bitmasks(mm, 1, [1 << i for i in range(mm)])
+            code = GrayCode(mm, 1, [1 << i for i in range(mm)])
             closing = 1 | 1 << (mm - 1)
         elif mm == 2 * rr + 1:
             code, closing = _maximal_base(mm, rr, rng)
@@ -676,7 +651,7 @@ def _maximal_by_flip(m, r, rng) -> GrayCode:
     full = (1 << m) - 1
     if r == m - 1:
         # One union fits: the all-one vector between the complements of two singletons.
-        return GrayCode.from_bitmasks(m, r, [full ^ 1, full ^ 2])
+        return GrayCode(m, r, [full ^ 1, full ^ 2])
     src_r = m - r - 1
     src, tail = _maximal_with_closing(m, src_r, rng)
     head = _fresh_superset(m, src.masks[0], set(_unions(src)) | {tail})
@@ -687,4 +662,4 @@ def _maximal_by_flip(m, r, rng) -> GrayCode:
     # Any address inside ``head`` placed before the source makes ``head`` the
     # first union of the path; only the unions are complemented.
     lead = head ^ 1 << _set_bits(src.masks[0])[0]
-    return flip_complement(GrayCode(m, src_r, (lead,) + src.masks), Address(m, tail))
+    return flip_complement(GrayCode(m, src_r, (lead,) + src.masks), tail)

@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from pathlib import Path
 from typing import Iterator
 
 from .codes import GrayCode, _set_bits
@@ -155,7 +154,3 @@ def sweep_to_csv(records: list[SimSweepRecord]) -> str:
             f"{rec.max_candidates},{rec.fraction_of_n:.6f}\n"
         )
     return out.getvalue()
-
-
-def write_sweep_csv(records: list[SimSweepRecord], path: str | Path) -> None:
-    Path(path).write_text(sweep_to_csv(records))

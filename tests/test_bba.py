@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graypool import (
-    Address,
     BudgetExhaustedError,
     ConstructionError,
     InfeasibleError,
@@ -20,7 +19,7 @@ from graypool import (
     validate,
 )
 from graypool.bba import SearchBudget, _balance_order, _construct_masks
-from graypool.codes import _set_bits
+from graypool.codes import _set_bits, mask_from_indices
 
 
 def test_balance_target_spreads_remainder():
@@ -173,19 +172,19 @@ def test_balance_order_matches_the_chained_reference(data):
 
 
 def test_constructs_full_length_code():
-    first = Address.from_index_set(5, (2, 3))
+    first = mask_from_indices((2, 3), 5)
     code = bba(5, 2, 10, first, seed=0)
     report = validate(code)
     assert report.is_valid
     assert report.meets_bound
-    assert code.addresses[0] == first
+    assert code.masks[0] == first
     assert report.balance.deviation == 0
 
 
 def test_single_address_request():
-    first = Address.from_index_set(6, (1, 4))
+    first = mask_from_indices((1, 4), 6)
     code = bba(6, 2, 1, first, seed=3)
-    assert code.addresses == (first,)
+    assert code.masks == (first,)
 
 
 def test_infeasible_length_rejected():
@@ -198,8 +197,12 @@ def test_parameter_errors():
         bba(4, 4, 1)
     with pytest.raises(ValueError):
         bba(4, 2, 0)
-    with pytest.raises(ValueError):
-        bba(5, 2, 4, Address.from_index_set(5, (1, 2, 3)))
+    with pytest.raises(ValueError, match="must have weight 2"):
+        bba(5, 2, 4, 0b00111)
+    with pytest.raises(ValueError, match="out of range for m=5"):
+        bba(5, 2, 4, 0b100011)
+    with pytest.raises(ValueError, match="out of range for m=5"):
+        bba(5, 2, 4, -3)
     with pytest.raises(ValueError):
         bba(5, 2, 4, target_balance=(1, 1))
     with pytest.raises(ValueError):
@@ -239,7 +242,7 @@ def test_deterministic_across_runs():
 def test_random_first_address_is_seeded():
     a = bba(8, 3, 30, seed=5)
     b = bba(8, 3, 30, seed=5)
-    assert a.addresses[0] == b.addresses[0]
+    assert a.masks[0] == b.masks[0]
 
 
 def test_full_enumeration_codes_reach_perfect_balance():

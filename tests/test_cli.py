@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from graypool import load_code, validate
+from graypool.codes import mask_from_indices
 from graypool.cli import main
 
 
@@ -40,7 +41,7 @@ def test_construct_writes_manifest(tmp_path):
     assert len(manifest["output_sha256"]) == 64
     code = load_code(out)
     assert validate(code).is_valid
-    assert code.addresses[0].index_set == (2, 3)
+    assert code.masks[0] == mask_from_indices((2, 3), 5)
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -162,6 +163,14 @@ def test_construct_rejects_non_positive_time_limit(capsys, alg, time_limit):
         ('{"m": 5, "r": 1, "n": 2.0, "addresses": [[1], [2]]}', "n must be an integer, got 2.0"),
         ('{"m": 5, "r": 2, "addresses": [[true, 2], [2, 3]]}', "pool index True out of range"),
         ('{"m": 5, "r": 2, "addresses": [[1.0, 2], [2, 3]]}', "pool index 1.0 out of range"),
+        pytest.param(
+            "[" * 10**5 + "]" * 10**5, "maximum recursion depth exceeded", id="nested-1e5-deep"
+        ),
+        # The interpreter words the overflow of 1 << m itself.
+        pytest.param(
+            '{"m": 99999999999999999999, "r": 1, "addresses": []}', "graypool: error: ",
+            id="m-overflows",
+        ),
     ],
 )
 def test_malformed_json_code_exits_3(tmp_path, capsys, text, message):
@@ -196,6 +205,21 @@ def test_construct_rejects_options_its_algorithm_ignores(capsys, argv, flags):
 
 
 @pytest.mark.parametrize(
+    "first,message",
+    [
+        ("1,6", "pool index 6 out of range 1..5"),
+        ("0", "pool index 0 out of range 1..5"),
+        ("1,2,3", "first address must have weight 2"),
+        (",", "first address must have weight 2"),
+    ],
+)
+def test_construct_rejects_a_bad_first_address(capsys, first, message):
+    argv = ["construct", "--alg", "bba", "--m", "5", "--r", "2", "--n", "4"]
+    assert main([*argv, "--first-address", first]) == 3
+    assert capsys.readouterr().err == f"graypool: error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "name,replacement,argv,kind",
     [
         # The (6, 1) flip source of a maximal (6, 4) code is left with no
@@ -215,6 +239,13 @@ def test_construct_reports_a_failed_maximal_build_in_one_line(
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"graypool: construction failed ({kind}): ")
+
+
+def test_oracle_with_an_overflowing_pool_count_exits_3(capsys):
+    argv = ["oracle", "max", "--m", "99999999999999999999", "--r", "1", "--node-limit", "5"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("graypool: error: ")
 
 
 def test_oracle_max_stops_at_node_limit_on_deep_searches(capsys):

@@ -4,116 +4,38 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graypool import (
-    Address,
     GrayCode,
     IncidenceMatrix,
     balance_of,
     code_from_json_dict,
     code_to_json_dict,
-    consecutive_unions,
     from_incidence,
-    hamming_distance,
     incidence_from_csv,
     incidence_to_csv,
     length_bound,
     load_code,
-    or_sum,
     save_code,
     to_incidence,
 )
+from graypool.codes import indices_from_mask, mask_from_indices
 
-addresses_m6 = st.integers(min_value=0, max_value=63).map(lambda b: Address(6, b))
-
-
-def test_address_views_agree():
-    a = Address.from_index_set(6, (1, 2, 6))
-    assert a.bit_vector() == (1, 1, 0, 0, 0, 1)
-    assert Address.from_bit_vector((1, 1, 0, 0, 0, 1)) == a
-    assert a.weight == 3
-    assert a.index_set == (1, 2, 6)
-
-
-def test_address_rejects_bad_input():
-    with pytest.raises(ValueError):
-        Address(0, 0)
-    with pytest.raises(ValueError):
-        Address(3, 8)
-    with pytest.raises(ValueError):
-        Address.from_index_set(3, (4,))
-    with pytest.raises(ValueError):
-        Address.from_bit_vector((0, 2, 1))
-
-
-def test_or_sum_examples():
-    a = Address.from_index_set(5, (2, 3))
-    b = Address.from_index_set(5, (1, 3))
-    assert or_sum(a, b).index_set == (1, 2, 3)
-    assert or_sum(a, a) == a
-    with pytest.raises(ValueError):
-        or_sum(a, Address.from_index_set(4, (1,)))
-
-
-def test_hamming_examples():
-    a = Address.from_index_set(5, (2, 3))
-    b = Address.from_index_set(5, (1, 3))
-    assert hamming_distance(a, b) == 2
-    assert hamming_distance(a, a) == 0
-    assert hamming_distance(
-        Address.from_bit_vector((1, 0, 0)), Address.from_bit_vector((0, 1, 1))
-    ) == 3
-
-
-@given(addresses_m6, addresses_m6, addresses_m6)
-def test_or_sum_is_a_semilattice(a, b, c):
-    assert or_sum(a, b) == or_sum(b, a)
-    assert or_sum(or_sum(a, b), c) == or_sum(a, or_sum(b, c))
-    assert or_sum(a, a) == a
-
-
-@given(addresses_m6, addresses_m6, addresses_m6)
-def test_hamming_is_a_metric(a, b, c):
-    assert hamming_distance(a, b) == hamming_distance(b, a)
-    assert (hamming_distance(a, b) == 0) == (a == b)
-    assert hamming_distance(a, c) <= hamming_distance(a, b) + hamming_distance(b, c)
-
-
-@given(st.data())
-def test_distance_two_union_gains_one(data):
-    m = data.draw(st.integers(min_value=3, max_value=10))
-    r = data.draw(st.integers(min_value=1, max_value=m - 1))
-    base = data.draw(st.permutations(range(m)))
-    kept = sorted(base[:r])
-    drop = kept[data.draw(st.integers(min_value=0, max_value=r - 1))]
-    gain = data.draw(st.sampled_from([i for i in range(m) if i not in kept]))
-    a = Address(m, sum(1 << i for i in kept))
-    b = Address(m, a.bits ^ (1 << drop) | (1 << gain))
-    assert hamming_distance(a, b) == 2
-    assert or_sum(a, b).weight == r + 1
+masks_m6 = st.integers(min_value=0, max_value=63)
 
 
 def test_code_holds_masks_and_builds_address_views(code_5_2_10):
     code = GrayCode(5, 2, [0b00110, 0b00101])
     assert code.masks == (0b00110, 0b00101)
     assert code.bitmasks() is code.masks
-    assert code.addresses == (Address(5, 0b00110), Address(5, 0b00101))
-    assert code_5_2_10.addresses[0].index_set == (2, 3)
+    assert GrayCode(5, 2, iter(code.masks)) == code
+    assert [indices_from_mask(x) for x in code.masks] == [(2, 3), (1, 3)]
+    assert mask_from_indices((2, 3), 5) == 0b00110
+    with pytest.raises(ValueError, match="pool index 4 out of range 1..3"):
+        mask_from_indices((4,), 3)
+    assert indices_from_mask(code_5_2_10.masks[0]) == (2, 3)
     with pytest.raises(ValueError, match="out of range"):
         GrayCode(3, 1, (0b1000,))
     with pytest.raises(ValueError, match="out of range"):
         GrayCode(3, 1, (-1,))
-
-
-def test_consecutive_unions_on_known_code(code_5_2_10):
-    unions = consecutive_unions(code_5_2_10)
-    assert unions[0].index_set == (1, 2, 3)
-    assert len(unions) == 9
-    assert len({u.bits for u in unions}) == 9
-    assert all(u.weight == 3 for u in unions)
-
-
-def test_consecutive_unions_short_codes():
-    single = GrayCode.from_index_sets(4, 2, [(1, 2)])
-    assert consecutive_unions(single) == ()
 
 
 def test_balance_examples(code_5_2_10, code_6_2_15):
@@ -126,10 +48,10 @@ def test_balance_examples(code_5_2_10, code_6_2_15):
     assert balance_of(empty).deviation == 0
 
 
-@given(st.lists(addresses_m6, max_size=30))
-def test_balance_counts_sum_to_total_weight(addresses):
-    code = GrayCode(6, 2, tuple(a.bits for a in addresses))
-    assert sum(balance_of(code).counts) == sum(a.weight for a in addresses)
+@given(st.lists(masks_m6, max_size=30))
+def test_balance_counts_sum_to_total_weight(masks):
+    code = GrayCode(6, 2, masks)
+    assert sum(balance_of(code).counts) == sum(x.bit_count() for x in masks)
 
 
 @pytest.mark.parametrize(
@@ -151,7 +73,7 @@ def test_incidence_round_trip(code_5_2_10):
     mat = to_incidence(code_5_2_10)
     assert mat.m == 5 and mat.n == 10
     assert from_incidence(mat) == code_5_2_10
-    assert code_5_2_10.addresses[0].index_set == (2, 3)
+    assert mat.rows[1][0] == 1 and mat.rows[2][0] == 1
 
 
 def test_incidence_rejects_malformed():
@@ -163,9 +85,9 @@ def test_incidence_rejects_malformed():
         IncidenceMatrix(((0, 2),))
 
 
-@given(st.lists(addresses_m6, max_size=20))
-def test_incidence_round_trip_any_sequence(addresses):
-    code = GrayCode(6, 2, tuple(a.bits for a in addresses))
+@given(st.lists(masks_m6, max_size=20))
+def test_incidence_round_trip_any_sequence(masks):
+    code = GrayCode(6, 2, masks)
     assert from_incidence(to_incidence(code), r=2) == code
 
 

@@ -3,12 +3,12 @@ from itertools import combinations
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from graypool import GrayCode, Outcome, PoolDecoder, decode, partition_items
+from graypool import GrayCode, PoolDecoder, partition_items
 from graypool.decode import DecodeResult, _MaskLookup
 
 
 def test_exact_pair(code_5_2_10):
-    result = decode(code_5_2_10, {1, 2, 3})
+    result = PoolDecoder(code_5_2_10).decode({1, 2, 3})
     assert result.status == "exact-pair"
     assert result.pair == (1, 2)
     assert result.candidate_items == (1, 2)
@@ -17,7 +17,7 @@ def test_exact_pair(code_5_2_10):
 
 
 def test_single_versus_dropped_pool_is_ambiguous(code_5_2_10):
-    result = decode(code_5_2_10, {2, 3})
+    result = PoolDecoder(code_5_2_10).decode({2, 3})
     assert result.status == "ambiguous"
     assert result.single == 1
     assert result.candidate_pairs == (1, 4, 6)
@@ -26,7 +26,7 @@ def test_single_versus_dropped_pool_is_ambiguous(code_5_2_10):
 
 
 def test_no_single_mode_reports_false_negative(code_5_2_10):
-    result = decode(code_5_2_10, {2, 3}, allow_single=False)
+    result = PoolDecoder(code_5_2_10).decode({2, 3}, allow_single=False)
     assert result.status == "error-false-negative"
     assert result.single is None
     assert result.candidate_pairs == (1, 4, 6)
@@ -35,7 +35,7 @@ def test_no_single_mode_reports_false_negative(code_5_2_10):
 
 
 def test_too_many_pools_is_false_positive(code_5_2_10):
-    result = decode(code_5_2_10, {1, 2, 3, 4, 5})
+    result = PoolDecoder(code_5_2_10).decode({1, 2, 3, 4, 5})
     assert result.status == "error-false-positive"
     assert result.inferred_error_count == 2
     # Every pair's union sits inside the all-positive observation.
@@ -44,7 +44,7 @@ def test_too_many_pools_is_false_positive(code_5_2_10):
 
 def test_unmatched_exact_count_is_false_positive(code_5_2_10):
     # Weight r+1 but not a consecutive union: {1,3,5} is the one unused triple.
-    result = decode(code_5_2_10, {1, 3, 5})
+    result = PoolDecoder(code_5_2_10).decode({1, 3, 5})
     assert result.status == "error-false-positive"
     assert result.candidate_pairs == ()
     assert result.inferred_error_count == 1
@@ -53,7 +53,7 @@ def test_unmatched_exact_count_is_false_positive(code_5_2_10):
 
 
 def test_empty_outcome_keeps_every_pair(code_5_2_10):
-    result = decode(code_5_2_10, ())
+    result = PoolDecoder(code_5_2_10).decode(())
     assert result.status == "error-false-negative"
     assert result.candidate_pairs == tuple(range(1, 10))
     assert result.candidate_items == tuple(range(1, 11))
@@ -61,35 +61,26 @@ def test_empty_outcome_keeps_every_pair(code_5_2_10):
 
 
 def test_exact_single_when_no_pair_superset():
-    from graypool import GrayCode
-
-    code = GrayCode.from_index_sets(6, 2, [(1, 2), (2, 3), (3, 4)])
-    result = decode(code, {5, 6})
+    decoder = PoolDecoder(GrayCode.from_index_sets(6, 2, [(1, 2), (2, 3), (3, 4)]))
+    result = decoder.decode({5, 6})
     assert result.status == "error-false-negative"
-    result = decode(code, {1, 2})
+    result = decoder.decode({1, 2})
     assert result.status == "ambiguous"
     # {3,4} is the last address; its only union superset is {2,3,4}.
-    result = decode(code, {3, 4})
+    result = decoder.decode({3, 4})
     assert result.single == 3
     assert result.candidate_pairs == (2,)
 
 
 def test_out_of_range_pool_rejected(code_5_2_10):
-    with pytest.raises(ValueError):
-        decode(code_5_2_10, {0, 1})
-    with pytest.raises(ValueError):
-        decode(code_5_2_10, {6})
-    with pytest.raises(ValueError):
-        Outcome(frozenset({-2}))
-
-
-def test_outcome_object_accepted(code_5_2_10):
-    direct = decode(code_5_2_10, Outcome(frozenset({1, 2, 3})))
-    assert direct.status == "exact-pair"
+    decoder = PoolDecoder(code_5_2_10)
+    for pools in ({0, 1}, {6}, {-2}):
+        with pytest.raises(ValueError, match="out of range 1..5"):
+            decoder.decode(pools)
 
 
 def test_result_serializes(code_5_2_10):
-    obj = decode(code_5_2_10, {1, 2, 3}).to_json_dict()
+    obj = PoolDecoder(code_5_2_10).decode({1, 2, 3}).to_json_dict()
     assert obj["status"] == "exact-pair"
     assert obj["pair"] == [1, 2]
     assert obj["candidate_items"] == [1, 2]
@@ -208,7 +199,7 @@ def small_codes(draw):
     any_mask = st.integers(0, (1 << m) - 1)
     pool = draw(st.lists(st.one_of(weight_r, weight_r, any_mask), min_size=1, max_size=8))
     masks = draw(st.lists(st.sampled_from(pool), max_size=16))
-    return GrayCode.from_bitmasks(m, r, masks)
+    return GrayCode(m, r, masks)
 
 
 @settings(max_examples=300, deadline=None)
@@ -240,7 +231,7 @@ def test_indexed_decode_matches_scan(code, data):
     ],
 )
 def test_indexed_decode_matches_scan_on_invalid_codes(m, r, masks, pmask):
-    code = GrayCode.from_bitmasks(m, r, masks)
+    code = GrayCode(m, r, masks)
     decoder = PoolDecoder(code)
     for allow_single in (True, False):
         assert decoder.decode_mask(pmask, allow_single) == scan_decode(code, pmask, allow_single)

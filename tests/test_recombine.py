@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graypool import (
-    Address,
     CombinePreconditionError,
-    ClosingUnionNotFoundError,
     ConstructionError,
     GrayCode,
     InfeasibleError,
@@ -15,16 +13,20 @@ from graypool import (
     balance_of,
     build_maximal,
     combine_pair,
-    consecutive_unions,
-    find_closing_union,
     flip_complement,
     length_bound,
     rcbba,
     rcbba_detailed,
     validate,
 )
-from graypool.codes import _set_bits
-from graypool.recombine import _maximal_base, _maximal_with_closing, _pool_table
+from graypool.codes import _set_bits, mask_from_indices
+from graypool.recombine import (
+    _fresh_superset,
+    _maximal_base,
+    _maximal_with_closing,
+    _pool_table,
+    _unions,
+)
 
 
 def test_combine_pair_reproduces_known_matrix(code_5_1_5, code_5_2_10, code_6_2_15):
@@ -83,40 +85,55 @@ def test_row_permutation_rejects_non_bijection(code_5_2_10):
         apply_row_permutation(code_5_2_10, [1, 1, 2, 3, 4])
 
 
+def closing_union(code):
+    """The smallest weight-(r+1) superset of the last address that is not a union."""
+    return _fresh_superset(code.m, code.masks[-1], set(_unions(code)))
+
+
 def test_closing_union_of_full_length_code_is_exhausted(code_5_2_10):
     # All three weight-3 supersets of the last address already occur as unions.
-    with pytest.raises(ClosingUnionNotFoundError):
-        find_closing_union(code_5_2_10)
+    assert closing_union(code_5_2_10) is None
 
 
 def test_closing_union_prefers_smallest_index_set():
     single = GrayCode.from_index_sets(5, 2, [(2, 4)])
-    assert find_closing_union(single).index_set == (1, 2, 4)
+    assert closing_union(single) == mask_from_indices((1, 2, 4), 5)
 
 
 def test_closing_union_skips_used_unions(code_5_1_5):
-    assert find_closing_union(code_5_1_5).index_set == (1, 3)
+    assert closing_union(code_5_1_5) == mask_from_indices((1, 3), 5)
+    # {1,2} is the code's one union, so {2,3} comes first.
+    pair = GrayCode.from_index_sets(5, 1, [(1,), (2,)])
+    assert closing_union(pair) == mask_from_indices((2, 3), 5)
 
 
 def test_flip_complement_builds_heavy_code(code_5_1_5):
-    closing = find_closing_union(code_5_1_5)
-    flipped = flip_complement(code_5_1_5, closing)
+    flipped = flip_complement(code_5_1_5, closing_union(code_5_1_5))
     assert (flipped.m, flipped.r, flipped.n) == (5, 3, 5)
     assert validate(flipped).is_valid
-    assert all(a.weight == 3 for a in flipped.addresses)
+    assert all(x.bit_count() == 3 for x in flipped.masks)
 
 
 def test_flip_complement_is_an_involution_on_the_path(code_5_1_5):
-    closing = find_closing_union(code_5_1_5)
-    path = [u.bits for u in consecutive_unions(code_5_1_5)] + [closing.bits]
+    closing = closing_union(code_5_1_5)
+    path = _unions(code_5_1_5) + [closing]
     flipped = flip_complement(code_5_1_5, closing)
     full = (1 << 5) - 1
-    assert [full ^ a.bits for a in flipped.addresses] == path
+    assert [full ^ x for x in flipped.masks] == path
 
 
 def test_flip_complement_rejects_bad_closing(code_5_1_5):
-    with pytest.raises(ValueError):
-        flip_complement(code_5_1_5, Address.from_index_set(5, (1, 2)))
+    closing = closing_union(code_5_1_5)
+    for bad, message in [
+        (mask_from_indices((1, 2, 3), 5), "must have weight 2"),
+        (mask_from_indices((1, 2), 5), "must contain the last address"),
+        (code_5_1_5.masks[-1] | 1 << 5, "out of range for m=5"),
+        (_unions(code_5_1_5)[-1], "duplicates a consecutive union"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            flip_complement(code_5_1_5, bad)
+    with pytest.raises(ValueError, match="empty code"):
+        flip_complement(GrayCode(5, 1, ()), closing)
 
 
 def test_rcbba_constructs_valid_code_with_trace():
@@ -238,12 +255,12 @@ def test_build_maximal_meets_its_definition(data):
         again, closing = _maximal_with_closing(m, r, random.Random(seed))
         assert again.masks == code.masks
         assert closing & code.masks[-1] == code.masks[-1] and closing.bit_count() == r + 1
-        assert closing not in {u.bits for u in consecutive_unions(code)}
+        assert closing not in _unions(code)
     else:
         assert build_maximal(m, r, seed=seed).masks == code.masks
 
 
-@pytest.mark.parametrize("r", range(1, 7))
+@pytest.mark.parametrize("r", range(1, 8))
 def test_maximal_base_is_a_middle_levels_hamilton_cycle(r):
     # Every weight-r address appears once, and every weight-(r+1) union once,
     # counting the closing union that joins the last address to the first.
