@@ -6,9 +6,10 @@ address the path steps to one of its unused unions, and from a union to one
 of its unused weight-r subsets. ``_path_search`` is the one depth-first
 walk over that graph. It keeps the path, the set of addresses and unions
 the path uses, and the path's per-pool occupancy. It charges every address
-it enters to a ``SearchBudget`` and takes three hooks: the candidate order
-at the tip, a prune test and a goal test. bba runs it, and so do both
-exhaustive oracles in ``graypool.oracle``.
+it enters to a ``SearchBudget`` and takes two hooks: the candidate order at
+the tip and a goal test. An order that yields nothing ends the branch, so a
+bound is part of the order. bba runs it, and so do both exhaustive oracles
+in ``graypool.oracle``.
 
 bba orders candidates to keep pool usage level. From an address ``a`` the
 union ``a | {z}`` is ranked by ``w[z] - target[z]`` ascending, and from a
@@ -29,10 +30,9 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .codes import GrayCode, length_bound, _set_bits
+from .codes import GrayCode, length_bound, _check_pool_count, _set_bits
 from .errors import BudgetExhaustedError, InfeasibleError
 from .validate import validate
 
@@ -77,6 +77,7 @@ class SearchBudget:
 
 def _check_request(m: int, r: int, n: int) -> None:
     """Reject an (m, r, n) request that no search needs to run for."""
+    _check_pool_count(m)
     if not 1 <= r < m:
         raise ValueError(f"weight must satisfy 1 <= r < m, got r={r}, m={m}")
     if n < 1:
@@ -87,18 +88,11 @@ def _check_request(m: int, r: int, n: int) -> None:
         )
 
 
-def _weight_masks(m: int, r: int) -> Iterator[int]:
-    """Every weight-r mask over m pools, in ascending index-tuple order."""
-    for combo in combinations(range(m), r):
-        yield sum(1 << c for c in combo)
-
-
 def _path_search(
     m: int,
     start: int,
     budget: SearchBudget,
     order: Callable[[list[int], set[int], list[int]], Iterable[int]],
-    prune: Callable[[list[int], list[int]], bool] | None,
     goal: Callable[[list[int], list[int]], bool],
 ) -> list[int] | None:
     """Depth-first search over the address paths that begin at ``start``.
@@ -111,8 +105,9 @@ def _path_search(
     in the same state each time it asks for the next address. Every
     address entered, ``start`` included, is charged to ``budget`` before
     ``goal(path, w)`` is asked; a true goal ends the search and returns the
-    path. Otherwise ``prune(path, w)``, when given, can refuse to extend
-    the path. Returns None once every path from ``start`` is exhausted.
+    path. Otherwise the path is extended by what ``order`` yields, and an
+    order that yields nothing ends the branch: that is how a search bounds
+    its paths. Returns None once every path from ``start`` is exhausted.
     ``order`` may return a lazy iterator and charge visits of its own:
     bba's charges each union when the iterator reaches it.
     """
@@ -145,10 +140,7 @@ def _path_search(
             w[i] += 1
         if goal(path, w):
             return path
-        if prune is not None and prune(path, w):
-            frames.append(iter(()))
-        else:
-            frames.append(iter(order(path, used, w)))
+        frames.append(iter(order(path, used, w)))
     return None
 
 
@@ -204,28 +196,22 @@ def _construct_masks(
     rng: random.Random,
     budget: SearchBudget,
 ) -> list[int]:
-    """Run the balance-guided path search, falling back over start addresses.
+    """Run the balance-guided path search from one start address.
 
-    When no start address is pinned, the first attempt starts from a uniform
-    random draw and, if its whole subtree is exhausted, every remaining
-    start is tried in ascending index order; within budget the search is
-    therefore complete and a final failure proves infeasibility.
+    The start is ``first_mask`` when pinned and otherwise a uniform draw
+    from ``rng``. Completeness comes from pool symmetry, not from trying
+    every start: relabelling the pools carries any weight-r address onto
+    any other and keeps codes valid, so a length-n code exists from one
+    start exactly when it exists from all. An exhausted search therefore
+    proves that no code exists.
     """
+    if first_mask is None:
+        first_mask = sum(1 << p for p in rng.sample(range(m), r))
     order = _balance_order(m, target, rng, budget)
-    if first_mask is not None:
-        starts: Iterable[int] = (first_mask,)
-    else:
-        drawn = sum(1 << p for p in rng.sample(range(m), r))
-        starts = chain((drawn,), (a1 for a1 in _weight_masks(m, r) if a1 != drawn))
-    for a1 in starts:
-        found = _path_search(m, a1, budget, order, None, lambda path, w: len(path) == n)
-        if found is not None:
-            return found
-    if first_mask is not None:
-        raise InfeasibleError(
-            f"no ({m},{r},{n}) code exists with the requested first address"
-        )
-    raise InfeasibleError(f"search exhausted: no ({m},{r},{n}) code exists")
+    found = _path_search(m, first_mask, budget, order, lambda path, w: len(path) == n)
+    if found is None:
+        raise InfeasibleError(f"search exhausted: no ({m},{r},{n}) code exists")
+    return found
 
 
 def bba(

@@ -11,11 +11,18 @@ All types are immutable values.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cache
 from math import comb
 from pathlib import Path
 from typing import Iterable
+
+
+def _check_pool_count(m: int) -> None:
+    """Reject a pool count too large to size a list or a range loop by."""
+    if m > sys.maxsize:
+        raise ValueError(f"pool count {m} exceeds {sys.maxsize}")
 
 
 def mask_from_indices(indices: Iterable[int], m: int) -> int:
@@ -95,6 +102,7 @@ class GrayCode:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"pool count must be at least 1, got {self.m}")
+        _check_pool_count(self.m)
         if self.r < 0 or self.r > self.m:
             raise ValueError(f"address weight {self.r} out of range 0..{self.m}")
         masks = tuple(self.masks)

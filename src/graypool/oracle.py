@@ -1,10 +1,10 @@
 """Exhaustive ground truth for small parameter sets.
 
-Complete depth-first enumerations over all weight-r addresses, used to pin
-down the exact maximum code length and the exact optimum balance deviation
-that the heuristic constructors are measured against. Both run on bba's
-path-search kernel: from each address they try the next addresses in
-ascending index-tuple order, skip used addresses and unions, and charge
+Complete depth-first enumerations of the codes that start at {1..r}, used
+to pin down the exact maximum code length and the exact optimum balance
+deviation that the heuristic constructors are measured against. Both run
+on bba's path-search kernel: from each address they try the next addresses
+in ascending index-tuple order, skip used addresses and unions, and charge
 every address visit to a ``SearchBudget`` whose limit is the node limit;
 ``search_nodes`` is the number of visits. Each search keeps a move memo:
 an address's unions and neighbours are listed once, on its first visit,
@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .bba import SearchBudget, _check_request, _path_search, _weight_masks
-from .codes import GrayCode, length_bound, _set_bits
+from .bba import SearchBudget, _check_request, _path_search
+from .codes import GrayCode, length_bound, _check_pool_count, _set_bits
 from .errors import BudgetExhaustedError, InfeasibleError, NodeLimitError
 
 DEFAULT_NODE_LIMIT = 10**7
@@ -76,43 +76,36 @@ def _search(
     m: int,
     r: int,
     node_limit: int,
-    fix_first_address: bool,
-    prune: Callable[[list[int], list[int]], bool] | None,
+    order: Callable[[list[int], set[int], list[int]], Sequence[int]],
     goal: Callable[[list[int], list[int]], bool],
 ) -> tuple[bool, int]:
-    """Run the kernel from each start until ``goal`` holds or every start is done.
+    """Run the kernel from {1..r} until ``goal`` holds or every path is done.
 
+    One start is complete: relabelling the pools carries any weight-r
+    address onto {1..r} and keeps codes valid and their deviation, so
+    completeness comes from pool symmetry, not from trying every start.
     Returns whether the search finished within ``node_limit`` and the
     number of nodes it visited.
     """
     if node_limit < 1:
         raise ValueError(f"node limit must be positive, got {node_limit}")
     budget = SearchBudget(node_limit)
-    starts = [(1 << r) - 1] if fix_first_address else _weight_masks(m, r)
-    order = _index_order(m)
     try:
-        for start in starts:
-            if _path_search(m, start, budget, order, prune, goal) is not None:
-                break
+        _path_search(m, (1 << r) - 1, budget, order, goal)
     except BudgetExhaustedError:
         return False, budget.spent
     return True, budget.spent
 
 
-def exhaustive_max(
-    m: int,
-    r: int,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    fix_first_address: bool = True,
-) -> OracleResult:
+def exhaustive_max(m: int, r: int, node_limit: int = DEFAULT_NODE_LIMIT) -> OracleResult:
     """Exact maximum code length by complete depth-first enumeration.
 
-    Explores addresses in ascending index order with visited-address and
-    visited-union pruning. By row-permutation symmetry the first address can
-    be fixed to {1..r} without changing the maximum, which is the default.
-    The search stops early once a code meets the length bound, since nothing
-    longer can exist.
+    Explores the codes that start at {1..r}, addresses in ascending index
+    order with visited-address and visited-union pruning; by row-permutation
+    symmetry that start does not change the maximum. The search stops early
+    once a code meets the length bound, since nothing longer can exist.
     """
+    _check_pool_count(m)
     if not 1 <= r <= m:
         raise ValueError(f"weight {r} out of range 1..{m}")
     bound = length_bound(m, r)
@@ -123,25 +116,22 @@ def exhaustive_max(
             best[:] = path
         return len(best) == bound
 
-    exact, nodes = _search(m, r, node_limit, fix_first_address, None, goal)
+    exact, nodes = _search(m, r, node_limit, _index_order(m), goal)
     return OracleResult(len(best), GrayCode(m, r, tuple(best)), nodes, exact)
 
 
 def exhaustive_best_balance(
-    m: int,
-    r: int,
-    n: int,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    fix_first_address: bool = False,
+    m: int, r: int, n: int, node_limit: int = DEFAULT_NODE_LIMIT
 ) -> GrayCode:
     """A valid (m, r, n) code of provably minimum deviation.
 
-    Enumerates every valid code of length n, pruning branches whose best
-    reachable deviation already matches the incumbent, and stops early when
-    the parity lower bound (0 when n*r divides by m, else 1) is attained.
-    Starts are not symmetry-reduced by default. Raises NodeLimitError when
-    the limit is hit before the enumeration finishes and InfeasibleError
-    when no valid code of that length exists.
+    Enumerates every valid code of length n that starts at {1..r}, which by
+    pool symmetry attains every deviation any code does. The order ends
+    branches whose best reachable deviation already matches the incumbent,
+    and the search stops early when the parity lower bound (0 when n*r
+    divides by m, else 1) is attained. Raises NodeLimitError when the limit
+    is hit before the enumeration finishes and InfeasibleError when no valid
+    code of that length exists.
     """
     _check_request(m, r, n)
     floor_dev = 0 if (n * r) % m == 0 else 1
@@ -158,15 +148,17 @@ def exhaustive_best_balance(
             best_code = list(path)
         return best_dev == floor_dev
 
-    def prune(path: list[int], w: list[int]) -> bool:
-        # A full-length path ends here. A pool already ahead by more than the
-        # remaining additions can never be caught; prune when even the
-        # optimistic finish loses.
-        return len(path) == n or (
-            best_dev is not None and max(w) - min(w) - (n - len(path)) >= best_dev
-        )
+    index_order = _index_order(m)
 
-    exact, _ = _search(m, r, node_limit, fix_first_address, prune, goal)
+    def order(path: list[int], used: set[int], w: list[int]) -> Sequence[int]:
+        # A full-length path ends here. A pool already ahead by more than the
+        # remaining additions can never be caught; end the branch when even
+        # the optimistic finish loses.
+        if len(path) == n or (best_dev is not None and max(w) - min(w) + len(path) - n >= best_dev):
+            return ()
+        return index_order(path, used, w)
+
+    exact, _ = _search(m, r, node_limit, order, goal)
     if not exact:
         partial = GrayCode(m, r, tuple(best_code)) if best_code is not None else None
         raise NodeLimitError(

@@ -33,7 +33,7 @@ from .bba import (
     _construct_masks,
     balance_target,
 )
-from .codes import GrayCode, balance_of, length_bound, _set_bits
+from .codes import GrayCode, balance_of, length_bound, _check_pool_count, _set_bits
 from .errors import (
     ClosingUnionNotFoundError,
     CombinePreconditionError,
@@ -423,6 +423,7 @@ def build_maximal(m: int, r: int, *, seed: int = 0) -> GrayCode:
     extended by one closing union at each end. ``seed`` draws the pool
     permutation that relabels each base.
     """
+    _check_pool_count(m)
     if r < 1:
         raise ValueError("weight must be at least 1")
     if m < r + 1:

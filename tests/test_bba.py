@@ -1,7 +1,8 @@
 import importlib
 import random
+import time
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from unittest import mock
 
 import pytest
@@ -18,7 +19,7 @@ from graypool import (
     rcbba,
     validate,
 )
-from graypool.bba import SearchBudget, _balance_order, _construct_masks
+from graypool.bba import SearchBudget, _balance_order, _construct_masks, _path_search
 from graypool.codes import _set_bits, mask_from_indices
 
 
@@ -171,6 +172,67 @@ def test_balance_order_matches_the_chained_reference(data):
     assert run(_balance_order) == run(_chained_balance_order)
 
 
+def _every_start_masks(m, r, n, first, target, rng, budget):
+    """The search from the pinned or drawn start, then from every other start
+    in index order: the reference that the single-start ``_construct_masks``
+    must match."""
+    if first is None:
+        first = sum(1 << p for p in rng.sample(range(m), r))
+    order = _balance_order(m, target, rng, budget)
+    others = (sum(1 << c for c in combo) for combo in combinations(range(m), r))
+    for start in chain((first,), (a for a in others if a != first)):
+        found = _path_search(m, start, budget, order, lambda path, w: len(path) == n)
+        if found is not None:
+            return found
+    raise InfeasibleError(f"search exhausted: no ({m},{r},{n}) code exists")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_single_start_matches_the_every_start_reference(data):
+    # Pool symmetry makes one start complete: whatever the reference finds,
+    # it finds from the first start, and where it proves that no code exists
+    # the single start proves it too, with no more visits.
+    m = data.draw(st.integers(min_value=2, max_value=7))
+    r = data.draw(st.integers(min_value=1, max_value=m - 1))
+    bound = length_bound(m, r)
+    # Lengths above the bound make every search run to its end.
+    n = data.draw(st.integers(max(1, bound - 3), bound + 2) | st.integers(1, bound))
+    first = data.draw(
+        st.none()
+        | st.sets(st.integers(0, m - 1), min_size=r, max_size=r).map(
+            lambda s: sum(1 << i for i in s)
+        )
+    )
+    target = data.draw(
+        st.just(balance_target(m, r, n))
+        | st.lists(st.integers(0, 2 * n), min_size=m, max_size=m)
+    )
+    seed = data.draw(st.integers(0, 2**32))
+    limit = data.draw(st.integers(min_value=1, max_value=3000))
+
+    def run(construct):
+        budget = SearchBudget(limit)
+        try:
+            outcome = construct(m, r, n, first, target, random.Random(seed), budget)
+        except ConstructionError as exc:
+            outcome = type(exc)
+        return outcome, budget.spent
+
+    (single, single_spent), (every, every_spent) = run(_construct_masks), run(_every_start_masks)
+    if isinstance(single, list) or isinstance(every, list):
+        assert (single, single_spent) == (every, every_spent)
+    elif every is InfeasibleError:
+        assert single is InfeasibleError and single_spent <= every_spent
+    else:
+        # The reference ran out of budget: in the first start, like the
+        # single start, or in a later one after the first was exhausted.
+        assert every is BudgetExhaustedError
+        assert (single, single_spent) == (every, every_spent) or (
+            single is InfeasibleError and single_spent < every_spent
+        )
+
+
 def test_constructs_full_length_code():
     first = mask_from_indices((2, 3), 5)
     code = bba(5, 2, 10, first, seed=0)
@@ -212,6 +274,9 @@ def test_parameter_errors():
 def test_budget_exhaustion_raises():
     with pytest.raises(BudgetExhaustedError):
         bba(5, 2, 10, budget=5)
+    for budget in (0, -4):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            bba(5, 2, 10, budget=budget)
 
 
 @pytest.mark.parametrize("time_limit", [0, 0.0, -1, -0.5, float("nan")])
@@ -229,6 +294,20 @@ def test_only_none_means_no_time_limit():
     assert SearchBudget(10, None).deadline is None
     assert SearchBudget(10, 5.0).deadline is not None
     assert validate(bba(5, 2, 10, time_limit=60)).is_valid
+
+
+def test_a_passed_deadline_stops_the_search_at_the_next_check():
+    # The deadline is read every 1024 visits, so the first check comes at
+    # visit 1024 on any host.
+    budget = SearchBudget(10**7, 1e-6)
+    time.sleep(0.001)
+    for _ in range(1023):
+        budget.spend()
+    with pytest.raises(BudgetExhaustedError, match="time limit exceeded"):
+        budget.spend()
+    assert budget.spent == 1024
+    with pytest.raises(BudgetExhaustedError, match="time limit exceeded"):
+        bba(14, 4, 950, budget=10**7, time_limit=1e-6)
 
 
 def test_deterministic_across_runs():

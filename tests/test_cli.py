@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -151,6 +152,14 @@ def test_construct_rejects_non_positive_time_limit(capsys, alg, time_limit):
     assert err.count("\n") == 1 and "time limit must be positive" in err
 
 
+def test_construct_reports_a_passed_deadline_in_one_line(capsys):
+    # The deadline is read every 1024 visits; a microsecond has passed by then.
+    argv = ["construct", "--alg", "bba", "--m", "14", "--r", "4", "--n", "950"]
+    assert main([*argv, "--budget", "10000000", "--time-limit", "1e-6"]) == 2
+    err = capsys.readouterr().err
+    assert err == "graypool: construction failed (budget-exhausted): time limit exceeded\n"
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -166,10 +175,15 @@ def test_construct_rejects_non_positive_time_limit(capsys, alg, time_limit):
         pytest.param(
             "[" * 10**5 + "]" * 10**5, "maximum recursion depth exceeded", id="nested-1e5-deep"
         ),
-        # The interpreter words the overflow of 1 << m itself.
         pytest.param(
-            '{"m": 99999999999999999999, "r": 1, "addresses": []}', "graypool: error: ",
+            '{"m": 99999999999999999999, "r": 1, "addresses": []}',
+            "pool count 99999999999999999999 exceeds",
             id="m-overflows",
+        ),
+        pytest.param(
+            f'{{"m": {sys.maxsize + 1}, "r": 1, "addresses": []}}',
+            f"pool count {sys.maxsize + 1} exceeds {sys.maxsize}",
+            id="m-above-maxsize",
         ),
     ],
 )
@@ -246,6 +260,23 @@ def test_oracle_with_an_overflowing_pool_count_exits_3(capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("graypool: error: ")
+
+
+@pytest.mark.parametrize(
+    "m,argv",
+    [
+        (sys.maxsize + 1, ["oracle", "max", "--r", "1", "--node-limit", "5"]),
+        (sys.maxsize + 1, ["oracle", "balance", "--r", "1", "--n", "1"]),
+        (sys.maxsize + 1, ["construct", "--alg", "bba", "--r", "1", "--n", "1"]),
+        (sys.maxsize + 1, ["construct", "--alg", "rcbba", "--r", "1", "--n", "1"]),
+        (99999999999999999999, ["construct", "--alg", "maximal", "--r", "1"]),
+        (99999999999999999999, ["construct", "--alg", "maximal", "--r", "3"]),
+    ],
+)
+def test_a_pool_count_above_sys_maxsize_exits_3(capsys, m, argv):
+    # Lists, ranges and planning loops sized by m would fail or never end.
+    assert main([*argv, "--m", str(m)]) == 3
+    assert capsys.readouterr().err == f"graypool: error: pool count {m} exceeds {sys.maxsize}\n"
 
 
 def test_oracle_max_stops_at_node_limit_on_deep_searches(capsys):

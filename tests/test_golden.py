@@ -35,6 +35,8 @@ ORACLE_CASES = {
     "oracle-balance-5-2-5": ("balance", "--m", "5", "--r", "2", "--n", "5"),
     "oracle-balance-6-2-9": ("balance", "--m", "6", "--r", "2", "--n", "9"),
     "oracle-balance-7-2-18": ("balance", "--m", "7", "--r", "2", "--n", "18"),
+    # The optimum, 3, is above the parity floor of 1, so the search runs to its end.
+    "oracle-balance-6-3-3": ("balance", "--m", "6", "--r", "3", "--n", "3"),
 }
 
 # Sweeps over the rcbba (12, 3, 200) code above, printed to stdout.
@@ -89,6 +91,7 @@ GOLDEN = {
     "oracle-balance-5-2-5": "ccf80b509cd35eaec252c873a504f2d0e1a48732330940341adcc4c1ad6dca19",
     "oracle-balance-6-2-9": "0449d2acd989ff2e3629dabd40c301d523914f334367e3e8951be5836d1b34d6",
     "oracle-balance-7-2-18": "c8c61d9d3b7d5011de0acf769116802edd6ad12b64bfc9cfa8724e81efccd221",
+    "oracle-balance-6-3-3": "b5c1d02ba1a7df5c4793bfc9836b70e739a53212c4643384875d12af1f5e19d3",
     "near-14-3-350-s5.json": "15945a64575517a51755694bed5bd14d937757151eab0b944f13acca10e29fad",
     "near-14-3-350-s14.json": "ae67e06776534bdb21522525200b89efe29704f28dad02723ca8a72b8b05952f",
 }

@@ -1,3 +1,6 @@
+import importlib
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +14,9 @@ from graypool import (
     length_bound,
     validate,
 )
+from graypool.bba import SearchBudget, _path_search
 from graypool.codes import _set_bits
+from graypool.errors import BudgetExhaustedError
 from graypool.oracle import _index_order
 
 
@@ -45,12 +50,6 @@ def test_node_limit_must_be_positive():
             exhaustive_best_balance(5, 2, 4, node_limit=limit)
 
 
-def test_exhaustive_max_unfixed_start_agrees():
-    fixed = exhaustive_max(4, 2)
-    free = exhaustive_max(4, 2, fix_first_address=False)
-    assert fixed.max_length == free.max_length == 5
-
-
 def test_best_balance_full_enumeration_is_perfect():
     code = exhaustive_best_balance(5, 2, 10)
     assert balance_of(code).deviation == 0
@@ -77,6 +76,67 @@ def test_best_balance_node_limit():
     # A limit below the path length cannot admit even one complete code.
     with pytest.raises(NodeLimitError):
         exhaustive_best_balance(5, 2, 9, node_limit=4)
+
+
+def _every_start_best_balance(m, r, n, node_limit):
+    """The balance oracle's search from every start in index order: the
+    reference that the single-start ``exhaustive_best_balance`` must match.
+
+    Returns the best code's masks, InfeasibleError when the enumeration
+    finishes without a code, or None when the node limit cuts it short.
+    """
+    floor_dev = 0 if n * r % m == 0 else 1
+    best, best_dev = [], [None]
+
+    def goal(path, w):
+        if len(path) == n and (best_dev[0] is None or max(w) - min(w) < best_dev[0]):
+            best_dev[0], best[:] = max(w) - min(w), path
+        return best_dev[0] == floor_dev
+
+    index_order = _index_order(m)
+
+    def order(path, used, w):
+        dev = best_dev[0]
+        if len(path) == n or (dev is not None and max(w) - min(w) + len(path) - n >= dev):
+            return ()
+        return index_order(path, used, w)
+
+    budget = SearchBudget(node_limit)
+    try:
+        for combo in combinations(range(m), r):
+            if _path_search(m, sum(1 << c for c in combo), budget, order, goal) is not None:
+                break
+    except BudgetExhaustedError:
+        return None
+    return tuple(best) if best else InfeasibleError
+
+
+def test_best_balance_matches_the_every_start_reference(monkeypatch):
+    # Pool symmetry makes the start {1..r} complete: wherever the reference
+    # finishes, the single start finishes at the same node limit with the
+    # same code. Lengths one above the bound, with the bound check lifted,
+    # make both enumerations run to their ends and prove that no code exists.
+    bba_module = importlib.import_module("graypool.bba")
+    monkeypatch.setattr(bba_module, "length_bound", lambda m, r: length_bound(m, r) + 1)
+    cases = [
+        (m, r, n)
+        for m in range(2, 6)
+        for r in range(1, m)
+        for n in range(1, length_bound(m, r) + 2)
+    ]
+    finished = 0
+    for m, r, n in cases + [(6, 3, 3), (6, 2, 4)]:
+        for limit in (30, 3000, 3 * 10**5):
+            expected = _every_start_best_balance(m, r, n, limit)
+            if expected is None:
+                continue
+            finished += 1
+            try:
+                got = exhaustive_best_balance(m, r, n, node_limit=limit).masks
+            except InfeasibleError:
+                got = InfeasibleError
+            assert got == expected, (m, r, n, limit)
+    assert finished > 2 * len(cases)
 
 
 def test_heuristic_tracks_oracle_on_small_instances():
