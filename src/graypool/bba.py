@@ -5,11 +5,12 @@ addresses and the weight-(r+1) unions of adjacent addresses: from an
 address the path steps to one of its unused unions, and from a union to one
 of its unused weight-r subsets. ``_path_search`` is the one depth-first
 walk over that graph. It keeps the path, the set of addresses and unions
-the path uses, and the path's per-pool occupancy. It charges every address
-it enters to a ``SearchBudget`` and takes two hooks: the candidate order at
-the tip and a goal test. An order that yields nothing ends the branch, so a
-bound is part of the order. bba runs it, and so do both exhaustive oracles
-in ``graypool.oracle``.
+the path uses, and, for the searches whose hooks read it, the path's
+per-pool occupancy. It charges every address it enters to a
+``SearchBudget`` and takes two hooks: the candidate order at the tip and a
+goal test. An order that yields nothing ends the branch, so a bound is part
+of the order. bba runs it, and so do both exhaustive oracles in
+``graypool.oracle``.
 
 bba orders candidates to keep pool usage level. From an address ``a`` the
 union ``a | {z}`` is ranked by ``w[z] - target[z]`` ascending, and from a
@@ -92,8 +93,9 @@ def _path_search(
     m: int,
     start: int,
     budget: SearchBudget,
-    order: Callable[[list[int], set[int], list[int]], Iterable[int]],
-    goal: Callable[[list[int], list[int]], bool],
+    order: Callable[[list[int], set[int], list[int] | None], Iterable[int]],
+    goal: Callable[[list[int], list[int] | None], bool],
+    occupancy: bool = True,
 ) -> list[int] | None:
     """Depth-first search over the address paths that begin at ``start``.
 
@@ -101,19 +103,21 @@ def _path_search(
     path's tip, best first, leaving out those the path already uses and
     those whose union ``tip | b`` it uses. ``used`` holds the path's
     addresses and unions (their weights differ) and ``w`` its per-pool
-    occupancy. The kernel consumes ``order`` lazily, and the path is back
-    in the same state each time it asks for the next address. Every
-    address entered, ``start`` included, is charged to ``budget`` before
-    ``goal(path, w)`` is asked; a true goal ends the search and returns the
-    path. Otherwise the path is extended by what ``order`` yields, and an
-    order that yields nothing ends the branch: that is how a search bounds
-    its paths. Returns None once every path from ``start`` is exhausted.
-    ``order`` may return a lazy iterator and charge visits of its own:
-    bba's charges each union when the iterator reaches it.
+    occupancy, or None when ``occupancy`` is false, which saves its upkeep
+    on every visit for a search whose hooks never read it. The kernel
+    consumes ``order`` lazily, and the path is back in the same state each
+    time it asks for the next address. Every address entered, ``start``
+    included, is charged to ``budget`` before ``goal(path, w)`` is asked; a
+    true goal ends the search and returns the path. Otherwise the path is
+    extended by what ``order`` yields, and an order that yields nothing ends
+    the branch: that is how a search bounds its paths. Returns None once
+    every path from ``start`` is exhausted. ``order`` may return a lazy
+    iterator and charge visits of its own: bba's charges each union when the
+    iterator reaches it.
     """
     path: list[int] = []
     used: set[int] = set()
-    w = [0] * m
+    w = [0] * m if occupancy else None
     spend, enter, leave = budget.spend, used.add, used.discard
     # Per path address, plus one ahead of the start: the candidates not yet
     # tried. The start is its own union, which keeps the loop uniform.
@@ -128,16 +132,18 @@ def _path_search(
                 tip = path[-1] if path else 0
                 leave(a)
                 leave(tip | a)
-                for i in _set_bits(a):
-                    w[i] -= 1
+                if w is not None:
+                    for i in _set_bits(a):
+                        w[i] -= 1
             continue
         spend()
         path.append(b)
         enter(b)
         enter(tip | b)
         tip = b
-        for i in _set_bits(b):
-            w[i] += 1
+        if w is not None:
+            for i in _set_bits(b):
+                w[i] += 1
         if goal(path, w):
             return path
         frames.append(iter(order(path, used, w)))

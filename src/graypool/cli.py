@@ -16,7 +16,9 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .codes import code_to_json_dict, length_bound, load_code, mask_from_indices, save_code
+from .codes import (
+    code_to_json, code_to_json_dict, length_bound, load_code, mask_from_indices, save_code
+)
 from .bba import DEFAULT_BUDGET, bba
 from .decode import PoolDecoder, partition_items
 from .errors import ConstructionError, NodeLimitError
@@ -59,7 +61,7 @@ def _write_manifest(out_path: Path, subcommand: str, params: dict, started: floa
 
 def _emit_code(code, out, subcommand, params, started, extra=None):
     if out is None:
-        print(json.dumps(code_to_json_dict(code, extra), indent=2))
+        print(code_to_json(code, extra), end="")
         return
     out_path = Path(out)
     save_code(code, out_path, extra=extra)
@@ -196,7 +198,7 @@ def cmd_oracle(args) -> int:
         )
         return 0
     code = exhaustive_best_balance(args.m, args.r, args.n, node_limit=args.node_limit)
-    print(json.dumps(code_to_json_dict(code), indent=2))
+    print(code_to_json(code), end="")
     return 0
 
 
@@ -295,6 +297,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError, OverflowError, RecursionError) as exc:
         print(f"graypool: error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("graypool: error: out of memory", file=sys.stderr)
         return 3
 
 

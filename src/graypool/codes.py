@@ -6,6 +6,12 @@ functions. Pools are numbered from 1 only at the edges, where pool numbers
 are read or written: JSON and CSV files, the CLI, ``GrayCode.from_index_sets``,
 ``PoolDecoder.decode``, ``apply_row_permutation`` and ``CombinationTrace``.
 All types are immutable values.
+
+A code file is JSON or CSV. JSON is ``json.dumps(code_to_json_dict(code),
+indent=2)`` plus a newline. CSV has one line of comma-separated 0/1 cells
+per pool and one column per address, no header; a reader strips the cells
+and skips blank lines. Both codecs handle whole rows and columns with
+string operations rather than a Python step per cell.
 """
 
 from __future__ import annotations
@@ -191,36 +197,96 @@ def incidence_to_csv(matrix: IncidenceMatrix) -> str:
     return "\n".join(",".join(str(x) for x in row) for row in matrix.rows) + "\n"
 
 
-def incidence_from_csv(text: str) -> IncidenceMatrix:
+_BITS = frozenset(("0", "1"))
+
+
+def _csv_rows(text: str) -> list[list[str]]:
+    """The non-blank lines of CSV text as lists of "0"/"1" cells.
+
+    Cells and lines are stripped of whitespace and blank lines are skipped.
+    Rows must all have the width of the first, and there must be one.
+    """
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        cells = [cell.strip() for cell in line.split(",")]
-        row = []
-        for cell in cells:
-            if cell not in ("0", "1"):
-                raise ValueError(f"line {lineno}: entry {cell!r} is not 0 or 1")
-            row.append(int(cell))
-        rows.append(tuple(row))
-    return IncidenceMatrix(tuple(rows))
+        cells = line.split(",")
+        if not _BITS.issuperset(cells):
+            line = line.strip()
+            if not line:
+                continue
+            cells = [cell.strip() for cell in line.split(",")]
+            for cell in cells:
+                if cell not in _BITS:
+                    raise ValueError(f"line {lineno}: entry {cell!r} is not 0 or 1")
+        rows.append(cells)
+    if not rows:
+        raise ValueError("incidence matrix must have at least one row")
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"ragged row {i + 1}: {len(row)} entries, expected {width}")
+    return rows
 
 
-def code_to_json_dict(code: GrayCode, extra: dict | None = None) -> dict:
-    """JSON object for a code; ``balance`` and ``deviation`` are derived fields."""
+def incidence_from_csv(text: str) -> IncidenceMatrix:
+    return IncidenceMatrix(tuple(tuple(map(int, row)) for row in _csv_rows(text)))
+
+
+def _code_from_csv(text: str) -> GrayCode:
+    """``from_incidence(incidence_from_csv(text))``, one string per address."""
+    rows = _csv_rows(text)
+    masks = [int("".join(column)[::-1], 2) for column in zip(*rows)]
+    return GrayCode(len(rows), masks[0].bit_count(), masks)
+
+
+def _code_to_csv(code: GrayCode) -> str:
+    """``incidence_to_csv(to_incidence(code))``, one string per address."""
+    if not code.masks:
+        return "\n" * code.m
+    spec = f"0{code.m}b"
+    columns = [format(x, spec)[::-1] for x in code.masks]
+    return "\n".join([",".join(row) for row in zip(*columns)]) + "\n"
+
+
+def _json_object(code: GrayCode, addresses: list, extra: dict | None) -> dict:
     balance = balance_of(code)
     obj = {
         "m": code.m,
         "r": code.r,
         "n": code.n,
-        "addresses": [list(indices_from_mask(x)) for x in code.masks],
+        "addresses": addresses,
         "balance": list(balance.counts),
         "deviation": balance.deviation,
     }
     if extra:
         obj.update(extra)
     return obj
+
+
+def code_to_json_dict(code: GrayCode, extra: dict | None = None) -> dict:
+    """JSON object for a code; ``balance`` and ``deviation`` are derived fields."""
+    return _json_object(code, [list(indices_from_mask(x)) for x in code.masks], extra)
+
+
+def code_to_json(code: GrayCode, extra: dict | None = None) -> str:
+    """``json.dumps(code_to_json_dict(code, extra), indent=2)`` and a newline.
+
+    Only the small header goes through ``json.dumps``. The addresses are
+    formatted here in its layout and spliced in at the top-level key: that
+    is the only ``"addresses"`` line indented by two spaces, since nested
+    keys are indented further and strings hold no raw newline.
+    """
+    hole: list = []
+    obj = _json_object(code, hole, extra)
+    text = json.dumps(obj, indent=2)
+    if obj["addresses"] is not hole or not code.masks:
+        return text + "\n"
+    pools = [str(i) for i in range(1, code.m + 1)]
+    items = [
+        "[\n      " + ",\n      ".join([pools[i] for i in _set_bits(x)]) + "\n    ]" if x else "[]"
+        for x in code.masks
+    ]
+    head, tail = text.split('\n  "addresses": []', 1)
+    return head + '\n  "addresses": [\n    ' + ",\n    ".join(items) + "\n  ]" + tail + "\n"
 
 
 def code_from_json_dict(obj: dict) -> GrayCode:
@@ -249,9 +315,9 @@ def save_code(code: GrayCode, path: str | Path, extra: dict | None = None) -> No
     """Write a code to ``path``: CSV for a ``.csv`` extension, JSON with ``extra`` otherwise."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        path.write_text(incidence_to_csv(to_incidence(code)))
+        path.write_text(_code_to_csv(code))
     else:
-        path.write_text(json.dumps(code_to_json_dict(code, extra), indent=2) + "\n")
+        path.write_text(code_to_json(code, extra))
 
 
 def load_code(path: str | Path) -> GrayCode:
@@ -259,5 +325,5 @@ def load_code(path: str | Path) -> GrayCode:
     path = Path(path)
     text = path.read_text()
     if path.suffix.lower() == ".csv":
-        return from_incidence(incidence_from_csv(text))
+        return _code_from_csv(text)
     return code_from_json_dict(json.loads(text))

@@ -38,7 +38,7 @@ class OracleResult:
     is_exact: bool
 
 
-def _index_order(m: int) -> Callable[[list[int], set[int], list[int]], Sequence[int]]:
+def _index_order(m: int) -> Callable[[list[int], set[int], list[int] | None], Sequence[int]]:
     """The oracles' candidate order, with one move memo per search.
 
     ``order(path, used, w)`` lists the unused addresses ``b = a - x + z``
@@ -59,7 +59,7 @@ def _index_order(m: int) -> Callable[[list[int], set[int], list[int]], Sequence[
         )
         return frozenset(a | 1 << z for z in outside), tuple(pairs)
 
-    def order(path: list[int], used: set[int], w: list[int]) -> Sequence[int]:
+    def order(path: list[int], used: set[int], w: list[int] | None) -> Sequence[int]:
         a = path[-1]
         stored = moves.get(a)
         if stored is None:
@@ -76,14 +76,16 @@ def _search(
     m: int,
     r: int,
     node_limit: int,
-    order: Callable[[list[int], set[int], list[int]], Sequence[int]],
-    goal: Callable[[list[int], list[int]], bool],
+    order: Callable[[list[int], set[int], list[int] | None], Sequence[int]],
+    goal: Callable[[list[int], list[int] | None], bool],
+    occupancy: bool = True,
 ) -> tuple[bool, int]:
     """Run the kernel from {1..r} until ``goal`` holds or every path is done.
 
     One start is complete: relabelling the pools carries any weight-r
     address onto {1..r} and keeps codes valid and their deviation, so
     completeness comes from pool symmetry, not from trying every start.
+    The kernel keeps the occupancy ``w`` only when ``occupancy`` is true.
     Returns whether the search finished within ``node_limit`` and the
     number of nodes it visited.
     """
@@ -91,7 +93,7 @@ def _search(
         raise ValueError(f"node limit must be positive, got {node_limit}")
     budget = SearchBudget(node_limit)
     try:
-        _path_search(m, (1 << r) - 1, budget, order, goal)
+        _path_search(m, (1 << r) - 1, budget, order, goal, occupancy)
     except BudgetExhaustedError:
         return False, budget.spent
     return True, budget.spent
@@ -111,12 +113,12 @@ def exhaustive_max(m: int, r: int, node_limit: int = DEFAULT_NODE_LIMIT) -> Orac
     bound = length_bound(m, r)
     best: list[int] = []
 
-    def goal(path: list[int], w: list[int]) -> bool:
+    def goal(path: list[int], w: None) -> bool:
         if len(path) > len(best):
             best[:] = path
         return len(best) == bound
 
-    exact, nodes = _search(m, r, node_limit, _index_order(m), goal)
+    exact, nodes = _search(m, r, node_limit, _index_order(m), goal, occupancy=False)
     return OracleResult(len(best), GrayCode(m, r, tuple(best)), nodes, exact)
 
 

@@ -279,6 +279,20 @@ def test_a_pool_count_above_sys_maxsize_exits_3(capsys, m, argv):
     assert capsys.readouterr().err == f"graypool: error: pool count {m} exceeds {sys.maxsize}\n"
 
 
+def test_running_out_of_memory_exits_3_in_one_line(tmp_path, capsys, monkeypatch):
+    # A pool count of 10^9 passes the size check, and then the per-pool
+    # counters of validate can exhaust memory.
+    path = tmp_path / "code.json"
+    path.write_text('{"m": 1000000000, "r": 1, "addresses": [[1], [2]]}')
+
+    def out_of_memory(code):
+        raise MemoryError
+
+    monkeypatch.setattr("graypool.cli.validate", out_of_memory)
+    assert main(["validate", str(path)]) == 3
+    assert capsys.readouterr().err == "graypool: error: out of memory\n"
+
+
 def test_oracle_max_stops_at_node_limit_on_deep_searches(capsys):
     # Paths here run to thousands of addresses; the search must not recurse.
     assert main(["oracle", "max", "--m", "16", "--r", "4", "--node-limit", "20000"]) == 0

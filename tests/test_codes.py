@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graypool import (
     GrayCode,
@@ -17,7 +17,13 @@ from graypool import (
     save_code,
     to_incidence,
 )
-from graypool.codes import indices_from_mask, mask_from_indices
+from graypool.codes import (
+    _code_from_csv,
+    _code_to_csv,
+    code_to_json,
+    indices_from_mask,
+    mask_from_indices,
+)
 
 masks_m6 = st.integers(min_value=0, max_value=63)
 
@@ -131,3 +137,102 @@ def test_formats_convert_losslessly(code_5_2_10, tmp_path):
     save_code(code_5_2_10, json_path)
     save_code(code_5_2_10, csv_path)
     assert load_code(json_path) == load_code(csv_path)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["addresses", "m", "note", '\n  "addresses": []']), inner,
+                      max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def codes_and_extras(draw):
+    m = draw(st.integers(1, 20))
+    r = draw(st.integers(0, m))
+    # Draw from a few masks so that duplicates are common; 0 is among them.
+    pool = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=6)) + [0]
+    masks = draw(st.lists(st.sampled_from(pool), max_size=40))
+    # A top-level "addresses" in extra replaces the code's own.
+    extra = draw(
+        st.none()
+        | st.dictionaries(st.sampled_from(["provenance", "note", "addresses"]), json_values,
+                          max_size=3)
+    )
+    return GrayCode(m, r, masks), extra
+
+
+@settings(max_examples=300)
+@given(codes_and_extras())
+def test_code_writers_match_the_generic_encoders(code_and_extra):
+    code, extra = code_and_extra
+    assert code_to_json(code, extra) == json.dumps(code_to_json_dict(code, extra), indent=2) + "\n"
+    assert _code_to_csv(code) == incidence_to_csv(to_incidence(code))
+
+
+def _reference_code_from_csv(text):
+    """The cell-by-cell CSV reader that ``_code_from_csv`` replaced, with the
+    checks of ``IncidenceMatrix`` and the transpose of ``from_incidence``
+    inlined."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = [cell.strip() for cell in line.split(",")]
+        row = []
+        for cell in cells:
+            if cell not in ("0", "1"):
+                raise ValueError(f"line {lineno}: entry {cell!r} is not 0 or 1")
+            row.append(int(cell))
+        rows.append(tuple(row))
+    if not rows:
+        raise ValueError("incidence matrix must have at least one row")
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"ragged row {i + 1}: {len(row)} entries, expected {width}")
+    masks = [0] * width
+    for i, row in enumerate(rows):
+        masks = [x | 1 << i if bit else x for x, bit in zip(masks, row)]
+    r = masks[0].bit_count() if masks else 0
+    return GrayCode(len(rows), r, masks)
+
+
+@st.composite
+def csv_texts(draw):
+    width = draw(st.integers(1, 10))
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(
+            ["row"] * 5 + ["padded", "blank", "ragged", "trailing comma", "bad cell"]
+        ))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t \t"])))
+            continue
+        size = width + draw(st.sampled_from([-1, 1])) if kind == "ragged" else width
+        cells = ["0", "1"] + ([" 0", "1\t", " 1 ", "\t0"] if kind == "padded" else [])
+        row = draw(st.lists(st.sampled_from(cells), min_size=size, max_size=size))
+        if kind == "bad cell":
+            row[draw(st.integers(0, size - 1))] = draw(st.sampled_from(["", " ", "2", "01"]))
+        line = ",".join(row)
+        lines.append(line + "," if kind == "trailing comma" else line)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=400)
+@given(csv_texts() | st.text(alphabet="01, \t\r\n2", max_size=40))
+def test_csv_reader_matches_the_cell_by_cell_reference(text):
+    expected = _outcome(_reference_code_from_csv, text)
+    assert _outcome(_code_from_csv, text) == expected
+    assert _outcome(lambda t: from_incidence(incidence_from_csv(t)), text) == expected

@@ -50,6 +50,19 @@ SIMULATE_CASES = {
                             "--seed", "4", "--error-type", "false-positive"),
 }
 
+# Codes printed to stdout (no --out): rcbba's carries its provenance. Their
+# digests equal those of the JSON files the same runs write with --out.
+STDOUT_CASES = {
+    "stdout-bba-8-3-30-s4": ("bba", 8, 3, 30, 4, ()),
+    "stdout-rcbba-12-3-200-s2": ("rcbba", 12, 3, 200, 2, ()),
+    "stdout-maximal-8-3": ("maximal", 8, 3, None, 0, ()),
+}
+
+# A hand-written CSV code: CRLF line ends, a blank line and cells padded
+# with spaces and tabs. Its second and third addresses have the same union
+# as its first two, so `validate` exits 1.
+LOOSE_CSV = "1, 0,1 ,0\r\n\r\n1,1,\t0,0\r\n 0,1,1,1\r\n0,0,0,1\r\n"
+
 # Near-bound rcbba runs at budget 20000: most seeds end in exit 2.
 NEAR_BOUND_RUNS = [((14, 4, 950), seed) for seed in range(10)] + [
     ((14, 3, 350), seed) for seed in range(16)
@@ -94,6 +107,12 @@ GOLDEN = {
     "oracle-balance-6-3-3": "b5c1d02ba1a7df5c4793bfc9836b70e739a53212c4643384875d12af1f5e19d3",
     "near-14-3-350-s5.json": "15945a64575517a51755694bed5bd14d937757151eab0b944f13acca10e29fad",
     "near-14-3-350-s14.json": "ae67e06776534bdb21522525200b89efe29704f28dad02723ca8a72b8b05952f",
+    "stdout-bba-8-3-30-s4": "a5df9beb22a2d9f650561c6c7921d27a30c5f02c33256faa0e2afd6ee5f5a2cc",
+    "stdout-rcbba-12-3-200-s2": "f96fb620df67f0316663a2b70dec3069ba39ae9806c8394269c61a631495ea93",
+    "stdout-maximal-8-3": "b0960c381c9accdbe1e70432bea2de1e149d88cebf9f271173d5cd7a76804841",
+    "validate-rcbba-18-6-1000-s0.csv": "8236fcf17b195b983a5adfd20547ea10ee1294d438e7e7502ece6f0c715dbafa",
+    "validate-maximal-8-3.csv": "77c0de88f51a96a0df6454cfde7ee0e8152b1abbda6a856ecf5fd38b9dcb9353",
+    "validate-loose.csv": "5d68ccac2e6409e53fc3c2af8bb11a2d12776a755bdf2d7e1cf8b8fc32582440",
 }
 
 # The near-bound runs that end in exit 2: every (14, 4, 950) seed, and all
@@ -144,6 +163,16 @@ def collect(tmp_path, capsys) -> tuple[dict, tuple]:
         else:
             assert rc == 0
             digests[f"{name}.json"] = _sha(path.read_bytes())
+    for name, (alg, m, r, n, seed, extra) in STDOUT_CASES.items():
+        assert main(_construct_argv(alg, m, r, n, seed, extra)) == 0
+        digests[name] = _sha(capsys.readouterr().out.encode())
+    for name in ("rcbba-18-6-1000-s0", "maximal-8-3"):
+        assert main(["validate", str(tmp_path / f"{name}.csv")]) == 0
+        digests[f"validate-{name}.csv"] = _sha(capsys.readouterr().out.encode())
+    loose = tmp_path / "loose.csv"
+    loose.write_bytes(LOOSE_CSV.encode())
+    assert main(["validate", str(loose)]) == 1
+    digests["validate-loose.csv"] = _sha(capsys.readouterr().out.encode())
     return digests, tuple(failing)
 
 

@@ -35,6 +35,27 @@ def test_exhaustive_max_never_beats_the_bound():
         assert result.max_length <= length_bound(m, r)
 
 
+@pytest.mark.parametrize("m,r,limit", [(5, 2, 10**5), (6, 3, 10**5), (7, 3, 3000)])
+def test_max_search_visits_the_same_paths_without_occupancy(m, r, limit):
+    # exhaustive_max's hooks never read w, so the kernel skips its upkeep
+    # there; every visit and the witness must stay as they were.
+    def run(occupancy):
+        budget, lengths = SearchBudget(limit), []
+
+        def goal(path, w):
+            assert (w is None) is not occupancy
+            lengths.append(len(path))
+            return False
+
+        try:
+            found = _path_search(m, (1 << r) - 1, budget, _index_order(m), goal, occupancy)
+        except BudgetExhaustedError:
+            found = "limit"
+        return found, budget.spent, lengths
+
+    assert run(False) == run(True)
+
+
 def test_exhaustive_max_reports_truncation():
     result = exhaustive_max(5, 2, node_limit=4)
     assert not result.is_exact
