@@ -5,17 +5,12 @@ __version__ = "0.1.0"
 from .codes import (
     BalanceVector,
     GrayCode,
-    IncidenceMatrix,
     balance_of,
     code_from_json_dict,
     code_to_json_dict,
-    from_incidence,
-    incidence_from_csv,
-    incidence_to_csv,
     length_bound,
     load_code,
     save_code,
-    to_incidence,
 )
 from .errors import (
     BudgetExhaustedError,

@@ -225,7 +225,6 @@ def bba(
     r: int,
     n: int,
     first_address: int | None = None,
-    target_balance: Sequence[int] | None = None,
     *,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
@@ -235,8 +234,8 @@ def bba(
 
     ``first_address``, a weight-r mask over the m pools, pins the first
     address; otherwise it is drawn uniformly from the weight-r masks using
-    ``seed``. ``target_balance`` is the per-pool occupancy target; it
-    defaults to the near-uniform target of ``balance_target``.
+    ``seed``. The search steers each pool's occupancy towards the
+    near-uniform target of ``balance_target``.
 
     Raises InfeasibleError when ``n`` exceeds the length bound or the
     exhaustive search proves no code exists, and BudgetExhaustedError when
@@ -248,20 +247,9 @@ def bba(
             raise ValueError(f"first address {first_address:#x} out of range for m={m}")
         if first_address.bit_count() != r:
             raise ValueError(f"first address must have weight {r}")
-    if target_balance is None:
-        target_balance = balance_target(m, r, n)
-    else:
-        target_balance = tuple(target_balance)
-        if len(target_balance) != m:
-            raise ValueError("target balance must have one entry per pool")
-        if abs(sum(target_balance) - n * r) >= m:
-            raise ValueError(
-                f"target balance sums to {sum(target_balance)}, expected about {n * r}"
-            )
-
     rng = random.Random(seed)
     state = SearchBudget(budget, time_limit)
-    masks = _construct_masks(m, r, n, first_address, target_balance, rng, state)
+    masks = _construct_masks(m, r, n, first_address, balance_target(m, r, n), rng, state)
     code = GrayCode(m, r, masks)
     report = validate(code)
     if not report.is_valid:

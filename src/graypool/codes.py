@@ -1,4 +1,4 @@
-"""Core model: codes, incidence matrices, and balance statistics.
+"""Core model: codes, their JSON and CSV files, and balance statistics.
 
 An address is an int bitmask where bit ``i - 1`` holds pool ``i``; it is
 the library's only representation of an address, in and out of its public
@@ -10,8 +10,9 @@ All types are immutable values.
 A code file is JSON or CSV. JSON is ``json.dumps(code_to_json_dict(code),
 indent=2)`` plus a newline. CSV has one line of comma-separated 0/1 cells
 per pool and one column per address, no header; a reader strips the cells
-and skips blank lines. Both codecs handle whole rows and columns with
-string operations rather than a Python step per cell.
+and skips blank lines. A code with no addresses has a JSON file only. Both
+codecs handle whole rows and columns with string operations rather than a
+Python step per cell.
 """
 
 from __future__ import annotations
@@ -146,57 +147,6 @@ def length_bound(m: int, r: int) -> int:
     return min(comb(m, r), comb(m, r + 1) + 1)
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Binary matrix with one row per pool and one column per item."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.rows:
-            raise ValueError("incidence matrix must have at least one row")
-        width = len(self.rows[0])
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ValueError(f"ragged row {i + 1}: {len(row)} entries, expected {width}")
-            if not {0, 1}.issuperset(row):
-                raise ValueError(f"non-binary entry in row {i + 1}")
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
-
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows[0])
-
-
-def to_incidence(code: GrayCode) -> IncidenceMatrix:
-    """Transpose a code into its incidence matrix (column j = address j)."""
-    rows = tuple(tuple([(x >> i) & 1 for x in code.masks]) for i in range(code.m))
-    return IncidenceMatrix(rows)
-
-
-def from_incidence(matrix: IncidenceMatrix, r: int | None = None) -> GrayCode:
-    """Read a code off an incidence matrix.
-
-    When ``r`` is not given it is inferred from the first column (0 for an
-    empty matrix); weight mismatches are left for the validator to report.
-    """
-    masks = [0] * matrix.n
-    for i, row in enumerate(matrix.rows):
-        masks = [x | 1 << i if bit else x for x, bit in zip(masks, row)]
-    if r is None:
-        r = masks[0].bit_count() if masks else 0
-    return GrayCode(matrix.m, r, masks)
-
-
-def incidence_to_csv(matrix: IncidenceMatrix) -> str:
-    """Serialize as one comma-separated 0/1 line per pool, no header."""
-    return "\n".join(",".join(str(x) for x in row) for row in matrix.rows) + "\n"
-
-
 _BITS = frozenset(("0", "1"))
 
 
@@ -227,21 +177,20 @@ def _csv_rows(text: str) -> list[list[str]]:
     return rows
 
 
-def incidence_from_csv(text: str) -> IncidenceMatrix:
-    return IncidenceMatrix(tuple(tuple(map(int, row)) for row in _csv_rows(text)))
-
-
 def _code_from_csv(text: str) -> GrayCode:
-    """``from_incidence(incidence_from_csv(text))``, one string per address."""
+    """Read a CSV code, column j as address j; ``r`` is the first column's weight."""
     rows = _csv_rows(text)
     masks = [int("".join(column)[::-1], 2) for column in zip(*rows)]
     return GrayCode(len(rows), masks[0].bit_count(), masks)
 
 
 def _code_to_csv(code: GrayCode) -> str:
-    """``incidence_to_csv(to_incidence(code))``, one string per address."""
+    """Write a code as CSV, address j as column j.
+
+    Blank rows would not read back, so a code with no addresses is rejected.
+    """
     if not code.masks:
-        return "\n" * code.m
+        raise ValueError("a CSV code file needs at least one address")
     spec = f"0{code.m}b"
     columns = [format(x, spec)[::-1] for x in code.masks]
     return "\n".join([",".join(row) for row in zip(*columns)]) + "\n"

@@ -10,7 +10,8 @@ error budget the observation implies. An error-free observation counts
 exactly the two decoded items. After dropouts leave k observed pools it
 counts every item whose address has at most r+1-k pools outside them; with
 every union of weight r+1 that includes every pair and item the decoder
-keeps. After extra pools it counts the decoder's candidate items.
+keeps. After extra pools it counts the items of the candidate pairs the
+decoder returns; a single positive is never a candidate.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ def simulate_sweep(
     mode: str = "exhaustive",
     samples: int = 10000,
     seed: int = 0,
-    allow_single: bool = False,
     error_type: str = FALSE_NEGATIVE,
 ) -> list[SimSweepRecord]:
     """Sweep error levels 0..max_errors over the code's consecutive pairs.
@@ -61,7 +61,7 @@ def simulate_sweep(
     draws ``samples`` trials per level with the seeded generator and needs
     ``samples >= 1``. Mode ``auto`` picks exhaustive when the total
     exhaustive trial count stays under 10^6 and sampling otherwise.
-    Decoding runs in pure pair-detection mode unless ``allow_single`` is set.
+    Decoding runs in pure pair-detection mode: no single positive counts.
     Candidates within the error budget are looked up, not scanned; see
     ``graypool.decode``.
 
@@ -104,7 +104,7 @@ def simulate_sweep(
         budget = code.r + 1 - pmask.bit_count()
         if budget > 0:
             return len(decoder.addr_lookup.near(pmask, budget))
-        return len(decoder.decode_mask(pmask, allow_single).candidate_items)
+        return len(decoder.decode_mask(pmask, False).candidate_items)  # pairs only
 
     def flippable(u: int) -> list[int]:
         """The single-pool masks an error can flip in the outcome of union u."""

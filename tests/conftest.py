@@ -1,8 +1,9 @@
 import pytest
 
-from graypool import GrayCode, IncidenceMatrix
+from graypool import GrayCode
 
-# A maximal, perfectly balanced (5, 2, 10) code, as an incidence matrix.
+# A maximal, perfectly balanced (5, 2, 10) code: one 0/1 row per pool, one
+# column per address.
 ROWS_5_2_10 = (
     (0, 1, 1, 0, 0, 0, 0, 0, 1, 1),
     (1, 0, 0, 1, 0, 0, 1, 0, 0, 1),
@@ -32,9 +33,14 @@ ROWS_6_2_15 = (
 
 
 def code_from_rows(rows) -> GrayCode:
-    from graypool import from_incidence
+    """Column j of the rows is address j; r is the weight of the first column."""
+    masks = [sum(bit << i for i, bit in enumerate(column)) for column in zip(*rows)]
+    return GrayCode(len(rows), masks[0].bit_count(), masks)
 
-    return from_incidence(IncidenceMatrix(rows))
+
+def csv_from_rows(rows) -> str:
+    """The CSV text of a code file: one comma-separated line per row."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 @pytest.fixture(scope="session")

@@ -18,21 +18,18 @@ from graypool import (
     combine_pair,
     exhaustive_best_balance,
     exhaustive_max,
-    from_incidence,
-    incidence_from_csv,
-    incidence_to_csv,
     length_bound,
     load_code,
     rcbba,
     rcbba_detailed,
     save_code,
     simulate_sweep,
-    to_incidence,
     validate,
 )
+from graypool.codes import _code_from_csv, _code_to_csv
 from graypool.decode import PoolDecoder
 
-from conftest import ROWS_5_1_5, ROWS_5_2_10, ROWS_6_2_15, code_from_rows
+from conftest import ROWS_5_1_5, ROWS_5_2_10, ROWS_6_2_15, code_from_rows, csv_from_rows
 
 BBA_GRID = [
     (m, r, n)
@@ -85,8 +82,9 @@ def test_criterion_1_golden_code(tmp_path):
     started = time.perf_counter()
     code = code_from_rows(ROWS_5_2_10)
 
-    csv_text = incidence_to_csv(to_incidence(code))
-    assert from_incidence(incidence_from_csv(csv_text)) == code
+    csv_text = _code_to_csv(code)
+    assert csv_text == csv_from_rows(ROWS_5_2_10)
+    assert _code_from_csv(csv_text) == code
     json_path = tmp_path / "golden.json"
     csv_path = tmp_path / "golden.csv"
     save_code(code, json_path)
@@ -105,7 +103,7 @@ def test_criterion_1_golden_code(tmp_path):
 def test_criterion_2_golden_combination():
     started = time.perf_counter()
     combined = combine_pair(code_from_rows(ROWS_5_1_5), code_from_rows(ROWS_5_2_10))
-    assert to_incidence(combined).rows == ROWS_6_2_15
+    assert _code_to_csv(combined) == csv_from_rows(ROWS_6_2_15)
     assert combined == code_from_rows(ROWS_6_2_15)
     assert time.perf_counter() - started < 1.0
 

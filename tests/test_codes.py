@@ -5,17 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from graypool import (
     GrayCode,
-    IncidenceMatrix,
     balance_of,
     code_from_json_dict,
     code_to_json_dict,
-    from_incidence,
-    incidence_from_csv,
-    incidence_to_csv,
     length_bound,
     load_code,
     save_code,
-    to_incidence,
 )
 from graypool.codes import (
     _code_from_csv,
@@ -75,40 +70,35 @@ def test_length_bound_rejects_bad_weight():
         length_bound(4, 5)
 
 
-def test_incidence_round_trip(code_5_2_10):
-    mat = to_incidence(code_5_2_10)
-    assert mat.m == 5 and mat.n == 10
-    assert from_incidence(mat) == code_5_2_10
-    assert mat.rows[1][0] == 1 and mat.rows[2][0] == 1
-
-
-def test_incidence_rejects_malformed():
-    with pytest.raises(ValueError):
-        IncidenceMatrix(())
-    with pytest.raises(ValueError):
-        IncidenceMatrix(((0, 1), (1,)))
-    with pytest.raises(ValueError):
-        IncidenceMatrix(((0, 2),))
-
-
-@given(st.lists(masks_m6, max_size=20))
-def test_incidence_round_trip_any_sequence(masks):
-    code = GrayCode(6, 2, masks)
-    assert from_incidence(to_incidence(code), r=2) == code
+@given(st.lists(masks_m6, min_size=1, max_size=20))
+def test_csv_round_trip_any_sequence(masks):
+    code = GrayCode(6, masks[0].bit_count(), masks)
+    assert _code_from_csv(_code_to_csv(code)) == code
 
 
 def test_csv_round_trip(code_6_2_15, tmp_path):
-    text = incidence_to_csv(to_incidence(code_6_2_15))
+    text = _code_to_csv(code_6_2_15)
     assert text.splitlines()[0] == "1,0,0,0,0,0,1,1,0,0,0,0,0,1,1"
-    assert from_incidence(incidence_from_csv(text)) == code_6_2_15
+    assert _code_from_csv(text) == code_6_2_15
     path = tmp_path / "code.csv"
     save_code(code_6_2_15, path)
     assert load_code(path) == code_6_2_15
 
 
 def test_csv_rejects_non_binary():
-    with pytest.raises(ValueError):
-        incidence_from_csv("0,1\n1,2\n")
+    with pytest.raises(ValueError, match="line 2: entry '2' is not 0 or 1"):
+        _code_from_csv("0,1\n1,2\n")
+
+
+def test_a_code_with_no_addresses_is_saved_as_json_only(tmp_path):
+    empty = GrayCode(5, 2, ())
+    path = tmp_path / "e.csv"
+    with pytest.raises(ValueError, match="^a CSV code file needs at least one address$"):
+        save_code(empty, path)
+    assert not path.exists()
+    path = tmp_path / "e.json"
+    save_code(empty, path)
+    assert load_code(path) == empty
 
 
 def test_json_round_trip(code_5_2_10, tmp_path):
@@ -139,8 +129,13 @@ def test_formats_convert_losslessly(code_5_2_10, tmp_path):
     assert load_code(json_path) == load_code(csv_path)
 
 
+# Plain characters and everything json.dumps escapes: quote, backslash,
+# control characters, non-ASCII, U+2028 and an astral character. A fixed
+# alphabet keeps generation fast without hypothesis's unicode tables.
+json_text = st.text(alphabet='a :,[]"\\\n\t\x00\x1f\u00e9\u2028\U0001f600', max_size=6)
+
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers() | json_text,
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(["addresses", "m", "note", '\n  "addresses": []']), inner,
                       max_size=3),
@@ -164,18 +159,26 @@ def codes_and_extras(draw):
     return GrayCode(m, r, masks), extra
 
 
+def _reference_code_to_csv(code):
+    """The cell-by-cell CSV writer that ``_code_to_csv`` replaced."""
+    rows = [[(x >> i) & 1 for x in code.masks] for i in range(code.m)]
+    return "\n".join(",".join(str(bit) for bit in row) for row in rows) + "\n"
+
+
 @settings(max_examples=300)
 @given(codes_and_extras())
 def test_code_writers_match_the_generic_encoders(code_and_extra):
     code, extra = code_and_extra
     assert code_to_json(code, extra) == json.dumps(code_to_json_dict(code, extra), indent=2) + "\n"
-    assert _code_to_csv(code) == incidence_to_csv(to_incidence(code))
+    if code.masks:
+        assert _code_to_csv(code) == _reference_code_to_csv(code)
+    else:
+        with pytest.raises(ValueError, match="at least one address"):
+            _code_to_csv(code)
 
 
 def _reference_code_from_csv(text):
-    """The cell-by-cell CSV reader that ``_code_from_csv`` replaced, with the
-    checks of ``IncidenceMatrix`` and the transpose of ``from_incidence``
-    inlined."""
+    """The cell-by-cell CSV reader that ``_code_from_csv`` replaced."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -235,4 +238,3 @@ def _outcome(read, text):
 def test_csv_reader_matches_the_cell_by_cell_reference(text):
     expected = _outcome(_reference_code_from_csv, text)
     assert _outcome(_code_from_csv, text) == expected
-    assert _outcome(lambda t: from_incidence(incidence_from_csv(t)), text) == expected

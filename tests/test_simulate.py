@@ -86,15 +86,14 @@ def test_csv_output(medium_code):
     assert first[1] == "0"
 
 
-def brute_force_sweep(code, max_errors, error_type, allow_single):
+def brute_force_sweep(code, max_errors, error_type):
     """Exhaustive sweep records from the definition of the candidate count.
 
     An error-free outcome pins its pair. After dropouts leave k observed
     pools, an item counts if its address has at most r+1-k pools outside
     them; on a valid code every pair and item the decoder keeps passes this
     test. After extra pools, the items of a pair count if its union lies
-    inside the observation, and with single positives also an item whose
-    address does.
+    inside the observation.
     """
     m, r = code.m, code.r
     addresses = list(code.bitmasks())
@@ -121,10 +120,6 @@ def brute_force_sweep(code, max_errors, error_type, allow_single):
                     for j, v in enumerate(unions, 1):
                         if v & ~observed == 0:
                             items.update((j, j + 1))
-                    if allow_single:
-                        items.update(
-                            j for j, a in enumerate(addresses, 1) if a & ~observed == 0
-                        )
                     counts.append(len(items))
         mean = sum(counts) / len(counts)
         records.append(
@@ -134,16 +129,13 @@ def brute_force_sweep(code, max_errors, error_type, allow_single):
 
 
 @pytest.mark.parametrize("error_type", ["false-negative", "false-positive"])
-@pytest.mark.parametrize("allow_single", [False, True])
-def test_sweep_matches_brute_force(medium_code, code_6_2_15, error_type, allow_single):
+def test_sweep_matches_brute_force(medium_code, code_6_2_15, error_type):
     # Repeated addresses and unions: invalid, but every union has weight r+1.
     repeats = GrayCode.from_index_sets(5, 2, [(1, 2), (2, 3), (1, 2), (2, 3)])
     for code in (medium_code, code_6_2_15, repeats):
         top = code.r if error_type == "false-negative" else code.m - code.r - 1
-        records = simulate_sweep(
-            code, top, mode="exhaustive", allow_single=allow_single, error_type=error_type
-        )
-        assert records == brute_force_sweep(code, top, error_type, allow_single)
+        records = simulate_sweep(code, top, mode="exhaustive", error_type=error_type)
+        assert records == brute_force_sweep(code, top, error_type)
 
 
 @pytest.mark.parametrize("samples", [0, -5])
