@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from functools import cache
 from math import comb
 from pathlib import Path
 from typing import Iterable
@@ -42,7 +41,6 @@ def mask_from_indices(indices: Iterable[int], m: int) -> int:
     return mask
 
 
-@cache
 def _chunk_bits(k: int) -> list[tuple[int, ...]]:
     """Set-bit positions of every value of the k-th 10-bit chunk of a mask."""
     table: list[tuple[int, ...]] = [()]
@@ -52,6 +50,7 @@ def _chunk_bits(k: int) -> list[tuple[int, ...]]:
 
 
 _LOW_BITS = _chunk_bits(0)
+_HIGH_BITS = _chunk_bits(1)
 
 
 def _set_bits(mask: int) -> tuple[int, ...]:
@@ -59,15 +58,24 @@ def _set_bits(mask: int) -> tuple[int, ...]:
 
     Every loop over the pools of a mask, occupancy counts included, goes
     through here. Looking 10-bit chunks up in a table is about twice as fast
-    as peeling off the low bit one at a time.
+    as peeling off the low bit one at a time. Only pools 1..20 have tables,
+    about 90 kB each; above them each nonzero chunk is read from the first
+    table and offset, so memory does not grow with the mask's width.
     """
     out = _LOW_BITS[mask & 1023]
     mask >>= 10
-    k = 1
-    while mask:
-        out += _chunk_bits(k)[mask & 1023]
+    if mask:
+        out += _HIGH_BITS[mask & 1023]
         mask >>= 10
-        k += 1
+        if mask:
+            rest: list[int] = []
+            base = 20
+            while mask:
+                if chunk := mask & 1023:
+                    rest += [base + i for i in _LOW_BITS[chunk]]
+                mask >>= 10
+                base += 10
+            out += tuple(rest)
     return out
 
 

@@ -2,29 +2,41 @@
 
 For every consecutive pair (or a random sample of them) the sweep activates
 the pair's union, knocks out e pools (false negatives) or lights e extra
-pools (false positives), decodes, and aggregates candidate-list sizes per
-error level.
+pools (false positives), and aggregates candidate-list sizes per error
+level.
 
 The recorded candidate count is the number of items explainable within the
 error budget the observation implies. An error-free observation counts
-exactly the two decoded items. After dropouts leave k observed pools it
-counts every item whose address has at most r+1-k pools outside them; with
-every union of weight r+1 that includes every pair and item the decoder
-keeps. After extra pools it counts the items of the candidate pairs the
-decoder returns; a single positive is never a candidate.
+exactly the two items of its pair. After dropouts leave k observed pools it
+counts every item whose address has at most r+1-k pools outside them, that
+is, shares at least k-1 pools with the observation; with every union of
+weight r+1 that includes every pair and item the decoder keeps. After extra
+pools it counts the items of the pairs whose union lies inside the
+observation; a single positive is never a candidate.
+
+The sweep counts without building a decoder answer per trial. A pair count
+looks the (r+1)-subsets of the observation up in the decoder's union index.
+An exhaustive dropout level first tallies, over every address, how many
+addresses hold each of its (k-1)- and k-subsets; an outcome's count is then
+k+1 lookups in that table (see ``_dropout_count``), which is dropped when
+the level ends. A sampled dropout level asks ``decoder.addr_lookup``
+instead, since a few hundred trials do not pay for the table. Both
+shortcuts rely on the code being valid, so the sweep rejects any other
+code.
 """
 
 from __future__ import annotations
 
 import io
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .codes import GrayCode, _set_bits
-from .decode import PoolDecoder
+from .decode import PoolDecoder, _bit_sums
 
 CSV_COLUMNS = ("n", "e", "trials", "mean_candidates", "max_candidates", "fraction_of_n")
 
@@ -46,6 +58,65 @@ class SimSweepRecord:
     fraction_of_n: float
 
 
+def _require_valid(decoder: PoolDecoder) -> None:
+    """Raise ``ValueError`` unless the decoder's code (n >= 2) is valid:
+    distinct addresses of weight r and distinct consecutive unions of
+    weight r+1, which force adjacent addresses to distance 2."""
+    r = decoder.r
+    if set(map(int.bit_count, decoder.union_masks)) != {r + 1}:
+        raise ValueError(f"sweep needs every consecutive union to have weight r+1={r + 1}")
+    if set(map(int.bit_count, decoder.addr_masks)) != {r}:
+        raise ValueError(f"sweep needs every address to have weight r={r}")
+    if len(decoder.addr_index) < len(decoder.addr_masks):
+        raise ValueError("sweep needs distinct addresses")
+    if len(decoder.union_index) < len(decoder.union_masks):
+        raise ValueError("sweep needs distinct consecutive unions")
+
+
+def _pair_count(decoder: PoolDecoder) -> Callable[[int], int]:
+    """Count of the items of the pairs whose union lies inside an observation.
+
+    The (r+1)-subsets of the observation are looked up in the union index;
+    two found pairs j and j+1 share item j+1.
+    """
+    t = decoder.r + 1
+    get = decoder.union_index.get
+
+    def count(pmask: int) -> int:
+        pairs = list(filter(None, map(get, _bit_sums([1 << i for i in _set_bits(pmask)], t))))
+        if len(pairs) == 1:
+            return 2
+        found = set(pairs)
+        return 2 * len(pairs) - sum([j + 1 in found for j in pairs])
+
+    return count
+
+
+def _dropout_count(decoder: PoolDecoder, e: int) -> Callable[[int], int]:
+    """Count of the addresses sharing at least k-1 pools with an observation
+    of k = r+1-e pools.
+
+    ``held`` maps each (k-1)- and k-subset of an address to the number of
+    addresses holding it: n*C(r+1, e) entries, at most C(m, k-1)+C(m, k)
+    keys. An address that holds all k observed pools p holds every p^b, for
+    b a pool of p; one that holds k-1 of them holds exactly one. So the sum
+    of held[p^b] over the pools b, minus (k-1)*held[p], counts each once.
+    """
+    k = decoder.r + 1 - e
+    subsets: list[int] = []
+    for a in decoder.addr_masks:
+        bits = [1 << i for i in _set_bits(a)]
+        subsets += _bit_sums(bits, k - 1)
+        subsets += _bit_sums(bits, k)
+    held = Counter(subsets)
+    get = held.get
+
+    def count(pmask: int) -> int:
+        return sum([get(pmask ^ 1 << i, 0) for i in _set_bits(pmask)]) - (k - 1) * get(pmask, 0)
+
+    return count
+
+
 def simulate_sweep(
     code: GrayCode,
     max_errors: int,
@@ -61,21 +132,18 @@ def simulate_sweep(
     draws ``samples`` trials per level with the seeded generator and needs
     ``samples >= 1``. Mode ``auto`` picks exhaustive when the total
     exhaustive trial count stays under 10^6 and sampling otherwise.
-    Decoding runs in pure pair-detection mode: no single positive counts.
-    Candidates within the error budget are looked up, not scanned; see
-    ``graypool.decode``.
+    Single positives never count.
 
-    Every consecutive union must have weight r+1, as on any valid code;
-    other codes raise ``ValueError``. Every pair then has r+1 pools to knock
-    out and m-r-1 to light, so no error level runs out of trials, and the
-    dropout count needs no decoding (see the module docstring).
+    Candidates are counted from tables, not decoded; see the module
+    docstring. The code must be valid, or ``ValueError`` names a constraint
+    it breaks. Every pair then has r+1 pools to knock out and m-r-1 to
+    light, so no error level runs out of trials.
     """
     if code.n < 2:
         raise ValueError("sweep needs a code with at least one consecutive pair")
     decoder = PoolDecoder(code)
+    _require_valid(decoder)
     unions = decoder.union_masks
-    if any(u.bit_count() != code.r + 1 for u in unions):
-        raise ValueError(f"sweep needs every consecutive union to have weight r+1={code.r + 1}")
     if error_type not in (FALSE_NEGATIVE, FALSE_POSITIVE):
         raise ValueError(f"unknown error type {error_type!r}")
     if max_errors < 0:
@@ -100,12 +168,6 @@ def simulate_sweep(
 
     full = (1 << code.m) - 1
 
-    def candidate_count(pmask: int) -> int:
-        budget = code.r + 1 - pmask.bit_count()
-        if budget > 0:
-            return len(decoder.addr_lookup.near(pmask, budget))
-        return len(decoder.decode_mask(pmask, False).candidate_items)  # pairs only
-
     def flippable(u: int) -> list[int]:
         """The single-pool masks an error can flip in the outcome of union u."""
         return [1 << p for p in _set_bits(u if error_type == FALSE_NEGATIVE else full & ~u)]
@@ -120,17 +182,28 @@ def simulate_sweep(
                 u = unions[rng.randrange(len(unions))]
                 yield u ^ sum(rng.sample(flippable(u), e))
 
+    def near(pmask: int) -> int:
+        return len(decoder.addr_lookup.near(pmask, code.r + 1 - pmask.bit_count()))
+
+    pair_count = _pair_count(decoder)
     rng = random.Random(seed)
     records = []
     for e in range(max_errors + 1):
+        if e == 0 or error_type == FALSE_POSITIVE:
+            count = pair_count
+        elif mode == "exhaustive":
+            count = _dropout_count(decoder, e)
+        else:
+            count = near
         total_candidates = 0
         worst = 0
         trials = 0
-        for pmask in outcomes(e):
-            count = candidate_count(pmask)
-            total_candidates += count
-            worst = max(worst, count)
+        for c in map(count, outcomes(e)):
+            total_candidates += c
+            if c > worst:
+                worst = c
             trials += 1
+        del count  # a dropout table lives for its level only
         mean = total_candidates / trials
         records.append(
             SimSweepRecord(

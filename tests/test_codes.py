@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +16,28 @@ from graypool import (
 from graypool.codes import (
     _code_from_csv,
     _code_to_csv,
+    _set_bits,
     code_to_json,
     indices_from_mask,
     mask_from_indices,
 )
 
 masks_m6 = st.integers(min_value=0, max_value=63)
+
+
+@given(st.integers(0, 130).flatmap(lambda width: st.integers(0, (1 << width) - 1)))
+def test_set_bits_lists_every_set_bit(mask):
+    assert _set_bits(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def test_set_bits_keeps_no_tables_for_wide_masks():
+    tracemalloc.start()
+    try:
+        assert _set_bits((1 << 5000) | 1) == (0, 5000)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
 
 
 def test_code_holds_masks_and_builds_address_views(code_5_2_10):

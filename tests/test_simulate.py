@@ -1,10 +1,14 @@
+import random
+from functools import cache
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from graypool import GrayCode, bba, simulate_sweep, sweep_to_csv
-from graypool.simulate import CSV_COLUMNS, SimSweepRecord
+from graypool import GrayCode, PoolDecoder, bba, length_bound, rcbba, simulate_sweep, sweep_to_csv
+from graypool.cli import main
+from graypool.simulate import CSV_COLUMNS, SimSweepRecord, _dropout_count
 
 
 @pytest.fixture(scope="module")
@@ -130,12 +134,110 @@ def brute_force_sweep(code, max_errors, error_type):
 
 @pytest.mark.parametrize("error_type", ["false-negative", "false-positive"])
 def test_sweep_matches_brute_force(medium_code, code_6_2_15, error_type):
-    # Repeated addresses and unions: invalid, but every union has weight r+1.
-    repeats = GrayCode.from_index_sets(5, 2, [(1, 2), (2, 3), (1, 2), (2, 3)])
-    for code in (medium_code, code_6_2_15, repeats):
+    for code in (medium_code, code_6_2_15):
         top = code.r if error_type == "false-negative" else code.m - code.r - 1
         records = simulate_sweep(code, top, mode="exhaustive", error_type=error_type)
         assert records == brute_force_sweep(code, top, error_type)
+
+
+def decoded_sweep(code, max_errors, mode, samples, seed, error_type):
+    """Sweep records with every candidate count taken from the decoder's
+    full answer, on the outcomes and rng draws of ``simulate_sweep``."""
+    decoder = PoolDecoder(code)
+    unions = decoder.union_masks
+    full = (1 << code.m) - 1
+    rng = random.Random(seed)
+    records = []
+    for e in range(max_errors + 1):
+        counts = []
+        trials = len(unions) if mode == "exhaustive" else samples
+        for t in range(trials):
+            u = unions[t] if mode == "exhaustive" else unions[rng.randrange(len(unions))]
+            free = u if error_type == "false-negative" else full & ~u
+            flippable = [1 << p for p in range(code.m) if free >> p & 1]
+            if mode == "exhaustive":
+                flip_sets = list(combinations(flippable, e))
+            else:
+                flip_sets = [rng.sample(flippable, e)]
+            for flips in flip_sets:
+                pmask = u ^ sum(flips)
+                budget = code.r + 1 - pmask.bit_count()
+                if budget > 0:
+                    counts.append(len(decoder.addr_lookup.near(pmask, budget)))
+                else:
+                    counts.append(len(decoder.decode_mask(pmask, False).candidate_items))
+        mean = sum(counts) / len(counts)
+        records.append(SimSweepRecord(code.n, e, len(counts), mean, max(counts), mean / code.n))
+    return records
+
+
+@cache
+def _small_code(alg, m, r, seed):
+    # Every one of these requests builds; some shorter rcbba requests at
+    # m = 8 raise NoJoiningAddressError, so shorter codes are prefixes.
+    n = max(2, min(30, length_bound(m, r) * 2 // 3))
+    return (bba if alg == "bba" else rcbba)(m, r, n, seed=seed)
+
+
+@st.composite
+def small_valid_codes(draw):
+    """Prefixes of at least two addresses of bba and rcbba codes over 3..8
+    pools, at most 30 long; a prefix of a valid code is valid."""
+    m = draw(st.integers(3, 8))
+    r = draw(st.integers(1, m - 1))
+    alg = draw(st.sampled_from(["bba", "rcbba"]))
+    code = _small_code(alg, m, r, draw(st.integers(0, 3)))
+    return GrayCode(m, r, code.masks[: draw(st.integers(2, code.n))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    small_valid_codes(),
+    st.sampled_from(["false-negative", "false-positive"]),
+    st.integers(1, 40),
+    st.integers(0, 10**6),
+)
+def test_counted_sweep_matches_decoded_and_brute_force_sweeps(code, error_type, samples, seed):
+    top = code.r if error_type == "false-negative" else code.m - code.r - 1
+    exhaustive = simulate_sweep(code, top, mode="exhaustive", error_type=error_type)
+    assert exhaustive == brute_force_sweep(code, top, error_type)
+    assert exhaustive == decoded_sweep(code, top, "exhaustive", samples, seed, error_type)
+    sampled = simulate_sweep(
+        code, top, mode="sampled", samples=samples, seed=seed, error_type=error_type
+    )
+    assert sampled == decoded_sweep(code, top, "sampled", samples, seed, error_type)
+    if error_type == "false-negative":
+        decoder = PoolDecoder(code)
+        for e in range(1, top + 1):
+            count = _dropout_count(decoder, e)
+            for u in decoder.union_masks:
+                for flips in combinations([1 << p for p in range(code.m) if u >> p & 1], e):
+                    pmask = u ^ sum(flips)
+                    assert count(pmask) == len(decoder.addr_lookup.near(pmask, e))
+
+
+@pytest.mark.parametrize(
+    "m, addresses, message",
+    [
+        (5, [(1, 2), (2, 3), (1, 2), (2, 3)], "sweep needs distinct addresses"),
+        (4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 2)], "sweep needs distinct addresses"),
+        (4, [(1, 2), (1, 2, 3)], "sweep needs every address to have weight r=2"),
+        (4, [(1, 2), (2, 3), (1, 3)], "sweep needs distinct consecutive unions"),
+        (4, [(1, 2), (3, 4)], "sweep needs every consecutive union to have weight r+1=3"),
+    ],
+)
+def test_sweep_rejects_invalid_codes(tmp_path, capsys, m, addresses, message):
+    code = GrayCode.from_index_sets(m, 2, addresses)
+    for error_type in ("false-negative", "false-positive"):
+        with pytest.raises(ValueError) as excinfo:
+            simulate_sweep(code, 1, error_type=error_type)
+        assert str(excinfo.value) == message
+    path = tmp_path / "code.json"
+    path.write_text(f'{{"m": {m}, "r": 2, "addresses": {[list(a) for a in addresses]}}}')
+    assert main(["simulate", "--code", str(path), "--max-errors", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"graypool: error: {message}\n"
 
 
 @pytest.mark.parametrize("samples", [0, -5])
