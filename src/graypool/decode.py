@@ -117,22 +117,10 @@ class _MaskLookup:
         """``near`` by enumeration, or None when that would take more lookups
         than the list has masks. Bits of ``pmask`` above pool m are never
         enumerated: no mask contains them."""
-        if self._weights is None:
-            self._prepare()
-        m = self.m
-        full = (1 << m) - 1
-        low = pmask & full
+        low = pmask & ((1 << self.m) - 1)
         if cover and low != pmask:
             return []
-        k = low.bit_count()
-        # A qualifying mask of weight w takes w-t pools of the observation
-        # and t pools outside it.
-        shapes = []
-        cost = 0
-        for w in self._weights:
-            for t in range(max(0, w - k), min(outside, m - k, w - k if cover else w) + 1):
-                shapes.append((w - t, t))
-                cost += comb(k, w - t) * comb(m - k, t)
+        shapes, cost = self._shapes(low.bit_count(), outside, cover)
         if cost > len(self.masks):
             return None
         inside = [b for b in self._bits if b & low]
@@ -148,6 +136,27 @@ class _MaskLookup:
             found += [i for j in found for i in self._repeats.get(self.masks[j - 1], ())]
         found.sort()
         return found
+
+    def cost(self, k: int, outside: int, cover: bool = False) -> int:
+        """Masks a ``near`` query with k observed pools below pool m visits:
+        the lookups it enumerates, or the whole list when it scans."""
+        return min(self._shapes(k, outside, cover)[1], len(self.masks))
+
+    def _shapes(self, k: int, outside: int, cover: bool) -> tuple[list[tuple[int, int]], int]:
+        """The (inside, outside) pool counts of every qualifying mask shape
+        for k observed pools, and how many lookups enumerating them takes."""
+        if self._weights is None:
+            self._prepare()
+        m = self.m
+        # A qualifying mask of weight w takes w-t pools of the observation
+        # and t pools outside it.
+        shapes = []
+        cost = 0
+        for w in self._weights:
+            for t in range(max(0, w - k), min(outside, m - k, w - k if cover else w) + 1):
+                shapes.append((w - t, t))
+                cost += comb(k, w - t) * comb(m - k, t)
+        return shapes, cost
 
     def _scan(self, pmask: int, outside: int, cover: bool) -> list[int]:
         if cover:
@@ -187,6 +196,26 @@ class PoolDecoder:
         self.addr_index = {a: j + 1 for j, a in enumerate(self.addr_masks)}
         self.union_lookup = _MaskLookup(self.m, self.union_masks, self.union_index)
         self.addr_lookup = _MaskLookup(self.m, self.addr_masks, self.addr_index)
+
+    def unmet_requirement(self) -> str | None:
+        """The first requirement of a valid code that this code fails,
+        worded to follow "needs", or None exactly when ``validate`` finds
+        no violation.
+
+        Each check is one C-level pass over the tables built above. Once
+        every address has weight r, a union of weight r+1 is the same as
+        adjacent addresses at distance 2.
+        """
+        r = self.r
+        if set(map(int.bit_count, self.union_masks)) - {r + 1}:
+            return f"every consecutive union to have weight r+1={r + 1}"
+        if set(map(int.bit_count, self.addr_masks)) - {r}:
+            return f"every address to have weight r={r}"
+        if len(self.addr_index) < len(self.addr_masks):
+            return "distinct addresses"
+        if len(self.union_index) < len(self.union_masks):
+            return "distinct consecutive unions"
+        return None
 
     def decode(self, positives: Iterable[int], allow_single: bool = True) -> DecodeResult:
         """Decode the observed positive pools, given as 1-based indices."""

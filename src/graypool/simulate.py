@@ -15,14 +15,17 @@ pools it counts the items of the pairs whose union lies inside the
 observation; a single positive is never a candidate.
 
 The sweep counts without building a decoder answer per trial. A pair count
-looks the (r+1)-subsets of the observation up in the decoder's union index.
-An exhaustive dropout level first tallies, over every address, how many
-addresses hold each of its (k-1)- and k-subsets; an outcome's count is then
-k+1 lookups in that table (see ``_dropout_count``), which is dropped when
-the level ends. A sampled dropout level asks ``decoder.addr_lookup``
-instead, since a few hundred trials do not pay for the table. Both
-shortcuts rely on the code being valid, so the sweep rejects any other
-code.
+looks the (r+1)-subsets of the observation up in the decoder's union index;
+when there are more subsets than unions it scans the unions instead, as
+the decoder does, so no outcome costs more than O(n). A dropout level
+either asks ``decoder.addr_lookup`` per trial or first tallies, over every
+address, how many addresses hold each of its (k-1)- and k-subsets; an
+outcome's count is then k+1 lookups in that table (see ``_dropout_count``),
+which is dropped when the level ends. The table has n*C(r+1, e) entries,
+and building one costs about as much as three mask visits of the address
+lookup, so a level takes the table when its trials would visit at least
+three masks per entry (``_VISITS_PER_ENTRY``). Both shortcuts rely on the
+code being valid, so the sweep rejects any other code.
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ FALSE_POSITIVE = "false-positive"
 
 _AUTO_TRIAL_CEILING = 10**6
 
+# Mask visits of ``addr_lookup.near`` that cost as much as one entry of a
+# dropout table: the break-even trial count measured at (18, 6) with
+# n = 1000 and 3000 and e = 1..6 lies within a factor of 1.5 of this model.
+_VISITS_PER_ENTRY = 3
+
 
 @dataclass(frozen=True)
 class SimSweepRecord:
@@ -58,32 +66,24 @@ class SimSweepRecord:
     fraction_of_n: float
 
 
-def _require_valid(decoder: PoolDecoder) -> None:
-    """Raise ``ValueError`` unless the decoder's code (n >= 2) is valid:
-    distinct addresses of weight r and distinct consecutive unions of
-    weight r+1, which force adjacent addresses to distance 2."""
-    r = decoder.r
-    if set(map(int.bit_count, decoder.union_masks)) != {r + 1}:
-        raise ValueError(f"sweep needs every consecutive union to have weight r+1={r + 1}")
-    if set(map(int.bit_count, decoder.addr_masks)) != {r}:
-        raise ValueError(f"sweep needs every address to have weight r={r}")
-    if len(decoder.addr_index) < len(decoder.addr_masks):
-        raise ValueError("sweep needs distinct addresses")
-    if len(decoder.union_index) < len(decoder.union_masks):
-        raise ValueError("sweep needs distinct consecutive unions")
-
-
 def _pair_count(decoder: PoolDecoder) -> Callable[[int], int]:
     """Count of the items of the pairs whose union lies inside an observation.
 
-    The (r+1)-subsets of the observation are looked up in the union index;
-    two found pairs j and j+1 share item j+1.
+    The (r+1)-subsets of the observation are looked up in the union index,
+    up to the observation size ``widest`` beyond which they outnumber the
+    unions and the union lookup scans instead. Two found pairs j and j+1
+    share item j+1.
     """
     t = decoder.r + 1
     get = decoder.union_index.get
+    near = decoder.union_lookup.near
+    widest = max(k for k in range(t, decoder.m + 1) if comb(k, t) <= len(decoder.union_masks))
 
     def count(pmask: int) -> int:
-        pairs = list(filter(None, map(get, _bit_sums([1 << i for i in _set_bits(pmask)], t))))
+        if pmask.bit_count() > widest:
+            pairs = near(pmask, 0)
+        else:
+            pairs = list(filter(None, map(get, _bit_sums([1 << i for i in _set_bits(pmask)], t))))
         if len(pairs) == 1:
             return 2
         found = set(pairs)
@@ -135,14 +135,17 @@ def simulate_sweep(
     Single positives never count.
 
     Candidates are counted from tables, not decoded; see the module
-    docstring. The code must be valid, or ``ValueError`` names a constraint
-    it breaks. Every pair then has r+1 pools to knock out and m-r-1 to
-    light, so no error level runs out of trials.
+    docstring for which levels build a dropout table. The code must be
+    valid, or ``ValueError`` names a requirement it fails. Every pair then
+    has r+1 pools to knock out and m-r-1 to light, so no error level runs
+    out of trials.
     """
     if code.n < 2:
         raise ValueError("sweep needs a code with at least one consecutive pair")
     decoder = PoolDecoder(code)
-    _require_valid(decoder)
+    unmet = decoder.unmet_requirement()
+    if unmet is not None:
+        raise ValueError(f"sweep needs {unmet}")
     unions = decoder.union_masks
     if error_type not in (FALSE_NEGATIVE, FALSE_POSITIVE):
         raise ValueError(f"unknown error type {error_type!r}")
@@ -189,20 +192,20 @@ def simulate_sweep(
     rng = random.Random(seed)
     records = []
     for e in range(max_errors + 1):
+        trials = (code.n - 1) * comb(pool_count, e) if mode == "exhaustive" else samples
+        entries = code.n * comb(code.r + 1, e)
         if e == 0 or error_type == FALSE_POSITIVE:
             count = pair_count
-        elif mode == "exhaustive":
-            count = _dropout_count(decoder, e)
-        else:
+        elif trials * decoder.addr_lookup.cost(code.r + 1 - e, e) < _VISITS_PER_ENTRY * entries:
             count = near
+        else:
+            count = _dropout_count(decoder, e)
         total_candidates = 0
         worst = 0
-        trials = 0
         for c in map(count, outcomes(e)):
             total_candidates += c
             if c > worst:
                 worst = c
-            trials += 1
         del count  # a dropout table lives for its level only
         mean = total_candidates / trials
         records.append(

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from graypool import GrayCode, apply_row_permutation, balance_of, validate
+from conftest import ROWS_5_2_10, code_from_rows
+from graypool import GrayCode, PoolDecoder, apply_row_permutation, balance_of, validate
 from graypool.validate import (
     ADJACENT_DISTANCE,
     CONSTANT_WEIGHT,
@@ -81,3 +82,20 @@ def test_validity_is_permutation_invariant(code_5_2_10, perm):
     assert report.is_valid
     assert report.meets_bound
     assert sorted(report.balance.counts) == sorted(balance_of(code_5_2_10).counts)
+
+
+@st.composite
+def near_valid_codes(draw):
+    """Prefixes of the valid (5, 2, 10) code rows, each address kept or
+    replaced by a random mask, so valid and invalid codes both come up."""
+    masks = list(code_from_rows(ROWS_5_2_10).masks[: draw(st.integers(0, 10))])
+    for j in range(len(masks)):
+        if draw(st.integers(0, 5)) == 0:
+            masks[j] = draw(st.integers(0, 31))
+    return GrayCode(5, draw(st.sampled_from([2, 2, 2, 1, 3])), masks)
+
+
+@given(near_valid_codes())
+def test_unmet_requirement_is_none_exactly_for_valid_codes(code):
+    unmet = PoolDecoder(code).unmet_requirement()
+    assert (unmet is None) == validate(code).is_valid
