@@ -14,18 +14,27 @@ weight r+1 that includes every pair and item the decoder keeps. After extra
 pools it counts the items of the pairs whose union lies inside the
 observation; a single positive is never a candidate.
 
-The sweep counts without building a decoder answer per trial. A pair count
-looks the (r+1)-subsets of the observation up in the decoder's union index;
-when there are more subsets than unions it scans the unions instead, as
-the decoder does, so no outcome costs more than O(n). A dropout level
-either asks ``decoder.addr_lookup`` per trial or first tallies, over every
-address, how many addresses hold each of its (k-1)- and k-subsets; an
-outcome's count is then k+1 lookups in that table (see ``_dropout_count``),
-which is dropped when the level ends. The table has n*C(r+1, e) entries,
-and building one costs about as much as three mask visits of the address
-lookup, so a level takes the table when its trials would visit at least
-three masks per entry (``_VISITS_PER_ENTRY``). Both shortcuts rely on the
-code being valid, so the sweep rejects any other code.
+The sweep counts without building a decoder answer per trial. An
+exhaustive pair-count level (e = 0 of either error type, and every
+false-positive level) groups its trials on their outcome: the trials that
+give an outcome are exactly the pairs whose union lies inside it, so each
+group is the pair list of its outcome and no outcome is looked up (see
+``_grouped_pair_totals``). The groups hold one dict key per distinct
+outcome, at most C(m, r+1+e), and one list slot per trial of an outcome
+that two or more trials share; they are dropped when the level ends, and
+a level of more than ``_AUTO_TRIAL_CEILING`` trials counts per trial
+instead, so memory stays bounded. A sampled pair count looks the (r+1)-subsets of the observation
+up in the decoder's union index; when there are more subsets than unions
+it scans the unions instead, as the decoder does, so no outcome costs
+more than O(n). A dropout level either asks ``decoder.addr_lookup`` per
+trial or first tallies, over every address, how many addresses hold each
+of its (k-1)- and k-subsets; an outcome's count is then k+1 lookups in
+that table (see ``_dropout_count``), which is dropped when the level ends.
+The table has n*C(r+1, e) entries, and building one costs about as much
+as three mask visits of the address lookup, so a level takes the table
+when its trials would visit at least three masks per entry
+(``_VISITS_PER_ENTRY``). These shortcuts rely on the code being valid, so
+the sweep rejects any other code.
 """
 
 from __future__ import annotations
@@ -117,6 +126,53 @@ def _dropout_count(decoder: PoolDecoder, e: int) -> Callable[[int], int]:
     return count
 
 
+def _grouped_pair_totals(unions: list[int], m: int, e: int) -> tuple[int, int]:
+    """Candidate total and maximum over every exhaustive trial that lights
+    e extra pools of a pair's union, counted per outcome rather than per
+    trial; e = 0 gives the error-free level of either error type.
+
+    On a valid code the trials that give an outcome O are exactly the pairs
+    whose union lies inside O, each with the flips O minus its union. So
+    grouping the trials on their outcome hands every trial its pair list
+    without a lookup. An outcome holds the pair index of its first trial,
+    and a list of ascending indices once a second trial shares it: one dict
+    key per distinct outcome and one list slot per trial of a shared one,
+    dropped when the level ends.
+    """
+    full = (1 << m) - 1
+    groups: dict[int, int | list[int]] = {}
+    for j, u in enumerate(unions):
+        for flips in combinations([1 << p for p in _set_bits(full & ~u)], e):
+            outcome = u ^ sum(flips)
+            group = groups.setdefault(outcome, j)
+            if group != j:
+                if isinstance(group, int):
+                    groups[outcome] = [group, j]
+                else:
+                    group.append(j)
+    total, worst = 0, 2  # a trial counts at least the two items of its pair
+    for pairs in groups.values():
+        if isinstance(pairs, int):
+            total += 2
+            continue
+        # Pairs j and j+1 share item j+1.
+        count = 2 * len(pairs) - sum([b - a == 1 for a, b in zip(pairs, pairs[1:])])
+        total += len(pairs) * count
+        if count > worst:
+            worst = count
+    return total, worst
+
+
+def _totals(counts: Iterator[int]) -> tuple[int, int]:
+    """Sum and maximum of per-trial candidate counts."""
+    total = worst = 0
+    for c in counts:
+        total += c
+        if c > worst:
+            worst = c
+    return total, worst
+
+
 def simulate_sweep(
     code: GrayCode,
     max_errors: int,
@@ -134,11 +190,13 @@ def simulate_sweep(
     exhaustive trial count stays under 10^6 and sampling otherwise.
     Single positives never count.
 
-    Candidates are counted from tables, not decoded; see the module
-    docstring for which levels build a dropout table. The code must be
-    valid, or ``ValueError`` names a requirement it fails. Every pair then
-    has r+1 pools to knock out and m-r-1 to light, so no error level runs
-    out of trials.
+    Candidates are counted, not decoded. An exhaustive level of at most
+    10^6 trials that counts pairs (e = 0, or false positives) groups its
+    trials on their outcome instead of looking each one up; see the module
+    docstring for its memory and for which levels build a dropout table.
+    The code must be valid, or ``ValueError`` names a requirement it fails.
+    Every pair then has r+1 pools to knock out and m-r-1 to light, so no
+    error level runs out of trials.
     """
     if code.n < 2:
         raise ValueError("sweep needs a code with at least one consecutive pair")
@@ -194,19 +252,16 @@ def simulate_sweep(
     for e in range(max_errors + 1):
         trials = (code.n - 1) * comb(pool_count, e) if mode == "exhaustive" else samples
         entries = code.n * comb(code.r + 1, e)
-        if e == 0 or error_type == FALSE_POSITIVE:
-            count = pair_count
-        elif trials * decoder.addr_lookup.cost(code.r + 1 - e, e) < _VISITS_PER_ENTRY * entries:
-            count = near
+        if e != 0 and error_type == FALSE_NEGATIVE:
+            if trials * decoder.addr_lookup.cost(code.r + 1 - e, e) < _VISITS_PER_ENTRY * entries:
+                total_candidates, worst = _totals(map(near, outcomes(e)))
+            else:
+                # The dropout table lives for this level only.
+                total_candidates, worst = _totals(map(_dropout_count(decoder, e), outcomes(e)))
+        elif mode == "exhaustive" and trials <= _AUTO_TRIAL_CEILING:
+            total_candidates, worst = _grouped_pair_totals(unions, code.m, e)
         else:
-            count = _dropout_count(decoder, e)
-        total_candidates = 0
-        worst = 0
-        for c in map(count, outcomes(e)):
-            total_candidates += c
-            if c > worst:
-                worst = c
-        del count  # a dropout table lives for its level only
+            total_candidates, worst = _totals(map(pair_count, outcomes(e)))
         mean = total_candidates / trials
         records.append(
             SimSweepRecord(

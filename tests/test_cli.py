@@ -93,6 +93,25 @@ def test_decode_subcommand(tmp_path, capsys):
     assert result["single"] is None
 
 
+@pytest.mark.parametrize(
+    "m, addresses, requirement",
+    [
+        (5, [(1, 2), (2, 3), (1, 2), (2, 3)], "distinct addresses"),
+        (4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 2)], "distinct addresses"),
+        (4, [(1, 2), (1, 2, 3)], "every address to have weight r=2"),
+        (4, [(1, 2), (2, 3), (1, 3)], "distinct consecutive unions"),
+        (4, [(1, 2), (3, 4)], "every consecutive union to have weight r+1=3"),
+    ],
+)
+def test_decode_rejects_invalid_codes(tmp_path, capsys, m, addresses, requirement):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"m": m, "r": 2, "addresses": addresses}))
+    assert main(["decode", "--code", str(path), "--positives", "1,2,3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"graypool: error: decode needs {requirement}\n"
+
+
 def test_simulate_subcommand(tmp_path):
     code_path = tmp_path / "c.json"
     main(["construct", "--alg", "bba", "--m", "8", "--r", "3", "--n", "25", "--out", str(code_path)])

@@ -2,11 +2,13 @@ import random
 from functools import cache
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graypool import GrayCode, PoolDecoder, bba, length_bound, rcbba, simulate_sweep, sweep_to_csv
+from graypool import simulate
 from graypool.cli import main
 from graypool.simulate import CSV_COLUMNS, SimSweepRecord, _dropout_count
 
@@ -14,6 +16,11 @@ from graypool.simulate import CSV_COLUMNS, SimSweepRecord, _dropout_count
 @pytest.fixture(scope="module")
 def medium_code():
     return bba(9, 3, 40, seed=2)
+
+
+@pytest.fixture(scope="module")
+def rcbba_code():
+    return rcbba(10, 3, 60, seed=0)
 
 
 def test_error_free_sweep_pins_two_candidates(code_5_2_10):
@@ -138,6 +145,35 @@ def test_sweep_matches_brute_force(medium_code, code_6_2_15, error_type):
         top = code.r if error_type == "false-negative" else code.m - code.r - 1
         records = simulate_sweep(code, top, mode="exhaustive", error_type=error_type)
         assert records == brute_force_sweep(code, top, error_type)
+
+
+@pytest.mark.parametrize("error_type", ["false-negative", "false-positive"])
+def test_grouped_levels_match_per_trial_levels(medium_code, code_6_2_15, rcbba_code, error_type):
+    for code in (medium_code, code_6_2_15, rcbba_code):
+        top = code.r if error_type == "false-negative" else code.m - code.r - 1
+        records = simulate_sweep(code, top, mode="exhaustive", error_type=error_type)
+        # Only levels at most the ceiling are grouped; a ceiling of 0 sends
+        # every level to the per-trial count.
+        for ceiling in (0, records[1].trials):
+            with (
+                mock.patch.object(simulate, "_AUTO_TRIAL_CEILING", ceiling),
+                mock.patch.object(
+                    simulate, "_grouped_pair_totals", wraps=simulate._grouped_pair_totals
+                ) as spy,
+            ):
+                assert simulate_sweep(code, top, mode="exhaustive", error_type=error_type) == records
+            assert [call.args[2] for call in spy.call_args_list] == [
+                rec.e
+                for rec in records
+                if rec.trials <= ceiling and (rec.e == 0 or error_type == "false-positive")
+            ]
+
+
+def test_grouped_false_positive_levels_with_many_unions_per_outcome(rcbba_code):
+    records = simulate_sweep(rcbba_code, 3, mode="exhaustive", error_type="false-positive")
+    assert records == brute_force_sweep(rcbba_code, 3, "false-positive")
+    # More than four candidates takes at least three unions inside one outcome.
+    assert max(rec.max_candidates for rec in records) > 4
 
 
 def decoded_sweep(code, max_errors, mode, samples, seed, error_type):
