@@ -148,9 +148,6 @@ def cmd_validate(args) -> int:
 def cmd_decode(args) -> int:
     code = load_code(args.code)
     decoder = PoolDecoder(code)
-    unmet = decoder.unmet_requirement()
-    if unmet is not None:
-        raise ValueError(f"decode needs {unmet}")
     result = decoder.decode(_parse_indices(args.positives), allow_single=not args.no_single)
     print(json.dumps(result.to_json_dict(), indent=2))
     return 0

@@ -15,6 +15,10 @@ C(m-k, r+1-k) union supersets after a false negative and C(k, r+1) union
 subsets after a false positive. When the enumeration would need more
 lookups than the code has masks, as for an empty observation, the decoder
 scans the code instead, so no outcome costs more than O(n).
+
+The decoder takes valid codes only: distinct addresses of weight r whose
+consecutive unions are distinct and of weight r+1. So each lookup
+enumerates masks of one weight, and each mask has one position.
 """
 
 from __future__ import annotations
@@ -85,26 +89,23 @@ def _bit_sums(bits: list[int], t: int) -> list[int]:
 
 
 class _MaskLookup:
-    """Finds the masks of one list that lie near an observation.
+    """Finds the masks of one list, all of weight w, that lie near an
+    observation.
 
-    Holds the decoder's mask list and its mask -> last position index, not
-    copies of them. A query enumerates every mask of a weight present in the
-    list that could qualify and looks it up in the index; when that would
-    take more lookups than the list has masks, it scans the list instead.
-    The weights present and the earlier positions of repeated masks (invalid
-    codes only) are found on the first query, so a decoder that only ever
-    sees exact outcomes never pays for them.
+    Holds the decoder's mask list and its mask -> position index, not copies
+    of them. A query enumerates every mask of weight w that could qualify and
+    looks it up in the index; when that would take more lookups than the
+    list has masks, it scans the list instead.
     """
 
-    __slots__ = ("m", "masks", "index", "_bits", "_weights", "_repeats")
+    __slots__ = ("m", "w", "masks", "index", "_bits")
 
-    def __init__(self, m: int, masks: list[int], index: dict[int, int]):
+    def __init__(self, m: int, w: int, masks: list[int], index: dict[int, int]):
         self.m = m
+        self.w = w
         self.masks = masks
         self.index = index
-        self._bits: list[int] = []
-        self._weights: list[int] | None = None
-        self._repeats: dict[int, list[int]] = {}
+        self._bits = [1 << i for i in range(m)]
 
     def near(self, pmask: int, outside: int, cover: bool = False) -> list[int]:
         """Ascending 1-based positions of the masks with at most ``outside``
@@ -120,43 +121,33 @@ class _MaskLookup:
         low = pmask & ((1 << self.m) - 1)
         if cover and low != pmask:
             return []
-        shapes, cost = self._shapes(low.bit_count(), outside, cover)
+        counts, cost = self._outside_counts(low.bit_count(), outside, cover)
         if cost > len(self.masks):
             return None
         inside = [b for b in self._bits if b & low]
         rest = [b for b in self._bits if not b & low]
         get = self.index.get
         found = []
-        for a, t in shapes:
-            heads = _bit_sums(inside, a)
+        for t in counts:
+            heads = _bit_sums(inside, self.w - t)
             found += [
                 j for tail in _bit_sums(rest, t) for h in heads if (j := get(h | tail)) is not None
             ]
-        if self._repeats:
-            found += [i for j in found for i in self._repeats.get(self.masks[j - 1], ())]
         found.sort()
         return found
 
     def cost(self, k: int, outside: int, cover: bool = False) -> int:
         """Masks a ``near`` query with k observed pools below pool m visits:
         the lookups it enumerates, or the whole list when it scans."""
-        return min(self._shapes(k, outside, cover)[1], len(self.masks))
+        return min(self._outside_counts(k, outside, cover)[1], len(self.masks))
 
-    def _shapes(self, k: int, outside: int, cover: bool) -> tuple[list[tuple[int, int]], int]:
-        """The (inside, outside) pool counts of every qualifying mask shape
-        for k observed pools, and how many lookups enumerating them takes."""
-        if self._weights is None:
-            self._prepare()
-        m = self.m
-        # A qualifying mask of weight w takes w-t pools of the observation
-        # and t pools outside it.
-        shapes = []
-        cost = 0
-        for w in self._weights:
-            for t in range(max(0, w - k), min(outside, m - k, w - k if cover else w) + 1):
-                shapes.append((w - t, t))
-                cost += comb(k, w - t) * comb(m - k, t)
-        return shapes, cost
+    def _outside_counts(self, k: int, outside: int, cover: bool) -> tuple[range, int]:
+        """Every count t of pools outside k observed ones that a qualifying
+        mask can have, taking its other w-t pools from the observation, and
+        how many lookups enumerating them takes."""
+        w = self.w
+        counts = range(max(0, w - k), min(outside, self.m - k, w - k if cover else w) + 1)
+        return counts, sum([comb(k, w - t) * comb(self.m - k, t) for t in counts])
 
     def _scan(self, pmask: int, outside: int, cover: bool) -> list[int]:
         if cover:
@@ -171,22 +162,21 @@ class _MaskLookup:
             j for j, x in enumerate(self.masks, 1) if (x & ~pmask).bit_count() <= outside
         ]
 
-    def _prepare(self) -> None:
-        self._bits = [1 << i for i in range(self.m)]
-        self._weights = sorted(set(map(int.bit_count, self.masks)))
-        if len(self.index) < len(self.masks):
-            for j, x in enumerate(self.masks, 1):
-                if self.index[x] != j:
-                    self._repeats.setdefault(x, []).append(j)
-
 
 class PoolDecoder:
-    """Reusable decoder for one code; precomputes the mask lookup tables."""
+    """Reusable decoder for one valid code; precomputes the mask lookup
+    tables.
+
+    Raises ``ValueError`` naming the first requirement of a valid code that
+    the code fails: on any other code a decoder answer means nothing. Each
+    check is one C-level pass over the tables. Once every address has weight
+    r, a union of weight r+1 is the same as adjacent addresses at distance 2.
+    """
 
     def __init__(self, code: GrayCode):
         self.code = code
         self.m = code.m
-        self.r = code.r
+        self.r = r = code.r
         self.addr_masks = list(code.bitmasks())
         self.union_masks = [
             self.addr_masks[j] | self.addr_masks[j + 1]
@@ -194,28 +184,16 @@ class PoolDecoder:
         ]
         self.union_index = {u: j + 1 for j, u in enumerate(self.union_masks)}
         self.addr_index = {a: j + 1 for j, a in enumerate(self.addr_masks)}
-        self.union_lookup = _MaskLookup(self.m, self.union_masks, self.union_index)
-        self.addr_lookup = _MaskLookup(self.m, self.addr_masks, self.addr_index)
-
-    def unmet_requirement(self) -> str | None:
-        """The first requirement of a valid code that this code fails,
-        worded to follow "needs", or None exactly when ``validate`` finds
-        no violation.
-
-        Each check is one C-level pass over the tables built above. Once
-        every address has weight r, a union of weight r+1 is the same as
-        adjacent addresses at distance 2.
-        """
-        r = self.r
         if set(map(int.bit_count, self.union_masks)) - {r + 1}:
-            return f"every consecutive union to have weight r+1={r + 1}"
+            raise ValueError(f"code needs every consecutive union to have weight r+1={r + 1}")
         if set(map(int.bit_count, self.addr_masks)) - {r}:
-            return f"every address to have weight r={r}"
+            raise ValueError(f"code needs every address to have weight r={r}")
         if len(self.addr_index) < len(self.addr_masks):
-            return "distinct addresses"
+            raise ValueError("code needs distinct addresses")
         if len(self.union_index) < len(self.union_masks):
-            return "distinct consecutive unions"
-        return None
+            raise ValueError("code needs distinct consecutive unions")
+        self.union_lookup = _MaskLookup(self.m, r + 1, self.union_masks, self.union_index)
+        self.addr_lookup = _MaskLookup(self.m, r, self.addr_masks, self.addr_index)
 
     def decode(self, positives: Iterable[int], allow_single: bool = True) -> DecodeResult:
         """Decode the observed positive pools, given as 1-based indices."""

@@ -33,8 +33,8 @@ that table (see ``_dropout_count``), which is dropped when the level ends.
 The table has n*C(r+1, e) entries, and building one costs about as much
 as three mask visits of the address lookup, so a level takes the table
 when its trials would visit at least three masks per entry
-(``_VISITS_PER_ENTRY``). These shortcuts rely on the code being valid, so
-the sweep rejects any other code.
+(``_VISITS_PER_ENTRY``). These shortcuts rely on the code being valid,
+and the decoder the sweep builds rejects any other code.
 """
 
 from __future__ import annotations
@@ -194,16 +194,13 @@ def simulate_sweep(
     10^6 trials that counts pairs (e = 0, or false positives) groups its
     trials on their outcome instead of looking each one up; see the module
     docstring for its memory and for which levels build a dropout table.
-    The code must be valid, or ``ValueError`` names a requirement it fails.
-    Every pair then has r+1 pools to knock out and m-r-1 to light, so no
-    error level runs out of trials.
+    The code must be valid, or the decoder's ``ValueError`` names a
+    requirement it fails. Every pair then has r+1 pools to knock out and
+    m-r-1 to light, so no error level runs out of trials.
     """
     if code.n < 2:
         raise ValueError("sweep needs a code with at least one consecutive pair")
     decoder = PoolDecoder(code)
-    unmet = decoder.unmet_requirement()
-    if unmet is not None:
-        raise ValueError(f"sweep needs {unmet}")
     unions = decoder.union_masks
     if error_type not in (FALSE_NEGATIVE, FALSE_POSITIVE):
         raise ValueError(f"unknown error type {error_type!r}")

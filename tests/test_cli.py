@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import INVALID_CODES
 from graypool import load_code, validate
 from graypool.codes import mask_from_indices
 from graypool.cli import main
@@ -93,23 +94,14 @@ def test_decode_subcommand(tmp_path, capsys):
     assert result["single"] is None
 
 
-@pytest.mark.parametrize(
-    "m, addresses, requirement",
-    [
-        (5, [(1, 2), (2, 3), (1, 2), (2, 3)], "distinct addresses"),
-        (4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 2)], "distinct addresses"),
-        (4, [(1, 2), (1, 2, 3)], "every address to have weight r=2"),
-        (4, [(1, 2), (2, 3), (1, 3)], "distinct consecutive unions"),
-        (4, [(1, 2), (3, 4)], "every consecutive union to have weight r+1=3"),
-    ],
-)
+@pytest.mark.parametrize("m, addresses, requirement", INVALID_CODES)
 def test_decode_rejects_invalid_codes(tmp_path, capsys, m, addresses, requirement):
     path = tmp_path / "code.json"
     path.write_text(json.dumps({"m": m, "r": 2, "addresses": addresses}))
     assert main(["decode", "--code", str(path), "--positives", "1,2,3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"graypool: error: decode needs {requirement}\n"
+    assert captured.err == f"graypool: error: code needs {requirement}\n"
 
 
 def test_simulate_subcommand(tmp_path):
@@ -330,7 +322,7 @@ def test_simulate_rejects_a_code_it_cannot_sweep(tmp_path, capsys, mode):
     argv = ["simulate", "--code", str(path), "--max-errors", "2", "--mode", mode]
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert err == "graypool: error: sweep needs every consecutive union to have weight r+1=3\n"
+    assert err == "graypool: error: code needs every consecutive union to have weight r+1=3\n"
 
 
 # Values of every JSON type, small integers most often.

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from conftest import INVALID_CODES, small_valid_codes
 from graypool import GrayCode, PoolDecoder, partition_items
 from graypool.decode import DecodeResult, _MaskLookup
 
@@ -187,23 +188,8 @@ def scan_decode(code: GrayCode, pmask: int, allow_single: bool) -> DecodeResult:
     )
 
 
-@st.composite
-def small_codes(draw):
-    """Short codes over at most 6 pools, valid or not: a few distinct masks,
-    mostly of weight r, drawn with repetition so that duplicates are common."""
-    m = draw(st.integers(min_value=1, max_value=6))
-    r = draw(st.integers(min_value=0, max_value=m))
-    weight_r = st.sets(st.integers(0, m - 1), min_size=r, max_size=r).map(
-        lambda pools: sum(1 << p for p in pools)
-    )
-    any_mask = st.integers(0, (1 << m) - 1)
-    pool = draw(st.lists(st.one_of(weight_r, weight_r, any_mask), min_size=1, max_size=8))
-    masks = draw(st.lists(st.sampled_from(pool), max_size=16))
-    return GrayCode(m, r, masks)
-
-
 @settings(max_examples=300, deadline=None)
-@given(small_codes(), st.data())
+@given(small_valid_codes(), st.data())
 def test_indexed_decode_matches_scan(code, data):
     # Outcomes may light pools above m; they count toward k but match nothing.
     pmask = data.draw(st.integers(0, (1 << (code.m + 2)) - 1), label="pmask")
@@ -221,20 +207,11 @@ def test_indexed_decode_matches_scan(code, data):
                     assert found == expected
 
 
-@pytest.mark.parametrize(
-    "m, r, masks, pmask",
-    [
-        (3, 0, [0, 0, 1], 16),  # a pool above m lifts k to r+1 but matches no union
-        (3, 1, [1, 2, 4, 2], 0b1010),  # pool 4 above m: no union contains it
-        (4, 2, [3, 6, 12, 6, 3], 0b0110),  # repeated addresses and unions
-        (4, 2, [3, 7, 12, 1, 15], 0b0011),  # mixed weights
-    ],
-)
-def test_indexed_decode_matches_scan_on_invalid_codes(m, r, masks, pmask):
-    code = GrayCode(m, r, masks)
-    decoder = PoolDecoder(code)
-    for allow_single in (True, False):
-        assert decoder.decode_mask(pmask, allow_single) == scan_decode(code, pmask, allow_single)
+@pytest.mark.parametrize("m, addresses, requirement", INVALID_CODES)
+def test_decoder_rejects_invalid_codes(m, addresses, requirement):
+    with pytest.raises(ValueError) as excinfo:
+        PoolDecoder(GrayCode.from_index_sets(m, 2, addresses))
+    assert str(excinfo.value) == f"code needs {requirement}"
 
 
 def test_lookup_falls_back_to_scan_only_above_n(code_6_2_15, monkeypatch):

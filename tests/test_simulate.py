@@ -1,5 +1,4 @@
 import random
-from functools import cache
 from itertools import combinations
 from math import comb
 from unittest import mock
@@ -7,7 +6,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graypool import GrayCode, PoolDecoder, bba, length_bound, rcbba, simulate_sweep, sweep_to_csv
+from conftest import INVALID_CODES, small_valid_codes
+from graypool import GrayCode, PoolDecoder, bba, rcbba, simulate_sweep, sweep_to_csv
 from graypool import simulate
 from graypool.cli import main
 from graypool.simulate import CSV_COLUMNS, SimSweepRecord, _dropout_count
@@ -207,28 +207,9 @@ def decoded_sweep(code, max_errors, mode, samples, seed, error_type):
     return records
 
 
-@cache
-def _small_code(alg, m, r, seed):
-    # Every one of these requests builds; some shorter rcbba requests at
-    # m = 8 raise NoJoiningAddressError, so shorter codes are prefixes.
-    n = max(2, min(30, length_bound(m, r) * 2 // 3))
-    return (bba if alg == "bba" else rcbba)(m, r, n, seed=seed)
-
-
-@st.composite
-def small_valid_codes(draw):
-    """Prefixes of at least two addresses of bba and rcbba codes over 3..8
-    pools, at most 30 long; a prefix of a valid code is valid."""
-    m = draw(st.integers(3, 8))
-    r = draw(st.integers(1, m - 1))
-    alg = draw(st.sampled_from(["bba", "rcbba"]))
-    code = _small_code(alg, m, r, draw(st.integers(0, 3)))
-    return GrayCode(m, r, code.masks[: draw(st.integers(2, code.n))])
-
-
 @settings(max_examples=200, deadline=None)
 @given(
-    small_valid_codes(),
+    small_valid_codes(min_length=2),
     st.sampled_from(["false-negative", "false-positive"]),
     st.integers(1, 40),
     st.integers(0, 10**6),
@@ -252,17 +233,9 @@ def test_counted_sweep_matches_decoded_and_brute_force_sweeps(code, error_type, 
                     assert count(pmask) == len(decoder.addr_lookup.near(pmask, e))
 
 
-@pytest.mark.parametrize(
-    "m, addresses, message",
-    [
-        (5, [(1, 2), (2, 3), (1, 2), (2, 3)], "sweep needs distinct addresses"),
-        (4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 2)], "sweep needs distinct addresses"),
-        (4, [(1, 2), (1, 2, 3)], "sweep needs every address to have weight r=2"),
-        (4, [(1, 2), (2, 3), (1, 3)], "sweep needs distinct consecutive unions"),
-        (4, [(1, 2), (3, 4)], "sweep needs every consecutive union to have weight r+1=3"),
-    ],
-)
-def test_sweep_rejects_invalid_codes(tmp_path, capsys, m, addresses, message):
+@pytest.mark.parametrize("m, addresses, requirement", INVALID_CODES)
+def test_sweep_rejects_invalid_codes(tmp_path, capsys, m, addresses, requirement):
+    message = f"code needs {requirement}"
     code = GrayCode.from_index_sets(m, 2, addresses)
     for error_type in ("false-negative", "false-positive"):
         with pytest.raises(ValueError) as excinfo:

@@ -97,5 +97,23 @@ def near_valid_codes(draw):
 
 @given(near_valid_codes())
 def test_unmet_requirement_is_none_exactly_for_valid_codes(code):
-    unmet = PoolDecoder(code).unmet_requirement()
-    assert (unmet is None) == validate(code).is_valid
+    # The decoder raises exactly for invalid codes, naming a requirement
+    # whose failure shows among validate's violations. Addresses of weight
+    # r at distance 2 have a union of weight r+1.
+    report = validate(code)
+    try:
+        PoolDecoder(code)
+    except ValueError as exc:
+        kinds = {v.constraint for v in report.violations}
+        shown_by = {
+            f"code needs every consecutive union to have weight r+1={code.r + 1}": {
+                CONSTANT_WEIGHT,
+                ADJACENT_DISTANCE,
+            },
+            f"code needs every address to have weight r={code.r}": {CONSTANT_WEIGHT},
+            "code needs distinct addresses": {DISTINCT_ADDRESSES},
+            "code needs distinct consecutive unions": {DISTINCT_OR_SUMS},
+        }
+        assert shown_by[str(exc)] & kinds
+    else:
+        assert report.is_valid
