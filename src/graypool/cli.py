@@ -69,7 +69,11 @@ def _emit_code(code, out, subcommand, params, started, extra=None):
 
 
 def cmd_bound(args) -> int:
-    print(length_bound(args.m, args.r))
+    # Decimal prints an int exactly and, unlike str(int), has no digit limit.
+    # It is imported here: importing it costs about 4 ms at every CLI start.
+    from decimal import Decimal
+
+    print(Decimal(length_bound(args.m, args.r)))
     return 0
 
 

@@ -4,8 +4,11 @@ An error-free outcome activates exactly the r+1 pools of one consecutive
 pair's union (or the r pools of one item's address when single positives are
 in play). Any other positive-pool count proves an experimental error; the
 decoder then narrows the field to the pairs and items still consistent with
-the observation under a false-negative model (observed pools are a subset of
-the truth) or a false-positive model (observed pools are a superset).
+the observation. One rule covers both error types: a truth of weight w (r+1
+for a pair's union, r for an item's address) is consistent with k observed
+pools exactly when at most max(0, w-k) of its pools lie outside them. With
+fewer than w pools (false negatives) the truth contains the observation;
+with more (false positives) it lies inside it.
 
 The error path does not scan the code. It enumerates every union and
 address mask that could be consistent with the observation and looks each
@@ -107,21 +110,25 @@ class _MaskLookup:
         self.index = index
         self._bits = [1 << i for i in range(m)]
 
-    def near(self, pmask: int, outside: int, cover: bool = False) -> list[int]:
+    def near(self, pmask: int, outside: int) -> list[int]:
         """Ascending 1-based positions of the masks with at most ``outside``
-        pools outside ``pmask`` that, when ``cover`` is set, also contain
-        every pool of ``pmask``."""
-        found = self._lookup(pmask, outside, cover)
-        return self._scan(pmask, outside, cover) if found is None else found
+        pools outside ``pmask``.
 
-    def _lookup(self, pmask: int, outside: int, cover: bool) -> list[int] | None:
+        This one query answers both error types. A mask of weight w is
+        consistent with k observed pools exactly when at most max(0, w-k) of
+        its pools lie outside them: for k <= w the mask then contains the
+        observation (dropouts), for k >= w it lies inside it (extra pools).
+        A lit pool above m leaves fewer than k pools to match, so such an
+        observation finds nothing."""
+        found = self._lookup(pmask, outside)
+        return self._scan(pmask, outside) if found is None else found
+
+    def _lookup(self, pmask: int, outside: int) -> list[int] | None:
         """``near`` by enumeration, or None when that would take more lookups
         than the list has masks. Bits of ``pmask`` above pool m are never
         enumerated: no mask contains them."""
         low = pmask & ((1 << self.m) - 1)
-        if cover and low != pmask:
-            return []
-        counts, cost = self._outside_counts(low.bit_count(), outside, cover)
+        counts, cost = self._outside_counts(low.bit_count(), outside)
         if cost > len(self.masks):
             return None
         inside = [b for b in self._bits if b & low]
@@ -136,31 +143,21 @@ class _MaskLookup:
         found.sort()
         return found
 
-    def cost(self, k: int, outside: int, cover: bool = False) -> int:
+    def cost(self, k: int, outside: int) -> int:
         """Masks a ``near`` query with k observed pools below pool m visits:
         the lookups it enumerates, or the whole list when it scans."""
-        return min(self._outside_counts(k, outside, cover)[1], len(self.masks))
+        return min(self._outside_counts(k, outside)[1], len(self.masks))
 
-    def _outside_counts(self, k: int, outside: int, cover: bool) -> tuple[range, int]:
+    def _outside_counts(self, k: int, outside: int) -> tuple[range, int]:
         """Every count t of pools outside k observed ones that a qualifying
         mask can have, taking its other w-t pools from the observation, and
         how many lookups enumerating them takes."""
         w = self.w
-        counts = range(max(0, w - k), min(outside, self.m - k, w - k if cover else w) + 1)
+        counts = range(max(0, w - k), min(outside, self.m - k, w) + 1)
         return counts, sum([comb(k, w - t) * comb(self.m - k, t) for t in counts])
 
-    def _scan(self, pmask: int, outside: int, cover: bool) -> list[int]:
-        if cover:
-            return [
-                j
-                for j, x in enumerate(self.masks, 1)
-                if not pmask & ~x and (x & ~pmask).bit_count() <= outside
-            ]
-        if outside == 0:
-            return [j for j, x in enumerate(self.masks, 1) if not x & ~pmask]
-        return [
-            j for j, x in enumerate(self.masks, 1) if (x & ~pmask).bit_count() <= outside
-        ]
+    def _scan(self, pmask: int, outside: int) -> list[int]:
+        return [j for j, x in enumerate(self.masks, 1) if (x & ~pmask).bit_count() <= outside]
 
 
 class PoolDecoder:
@@ -202,56 +199,32 @@ class PoolDecoder:
     def decode_mask(self, pmask: int, allow_single: bool = True) -> DecodeResult:
         r = self.r
         k = pmask.bit_count()
-
         if k == r + 1:
             j = self.union_index.get(pmask)
             if j is not None:
                 return DecodeResult(EXACT_PAIR, (j, j + 1), None, 0, (j, j + 1), (j,))
-            return self._false_positive(pmask, k, allow_single)
-        if k > r + 1:
-            return self._false_positive(pmask, k, allow_single)
 
-        # k <= r: a single item (k == r) or a pair shadowed by false negatives.
-        pairs = self.union_lookup.near(pmask, self.m, cover=True)
-        items = set()
-        for j in pairs:
-            items.add(j)
-            items.add(j + 1)
-        single = None
-        if allow_single:
-            items.update(self.addr_lookup.near(pmask, self.m, cover=True))
-            if k == r:
-                single = self.addr_index.get(pmask)
-        if single is not None:
-            if pairs:
-                return DecodeResult(
-                    AMBIGUOUS, None, single, 0, tuple(sorted(items)), tuple(pairs)
-                )
-            return DecodeResult(EXACT_SINGLE, None, single, 0, (single,), ())
-        return DecodeResult(
-            ERROR_FALSE_NEGATIVE,
-            None,
-            None,
-            r + 1 - k,
-            tuple(sorted(items)),
-            tuple(pairs),
-        )
-
-    def _false_positive(self, pmask: int, k: int, allow_single: bool) -> DecodeResult:
-        # The truth must hide inside the observed pools: unions (and, when
-        # singles are in play, addresses) contained in the observation.
-        pairs = self.union_lookup.near(pmask, 0)
+        pairs = self.union_lookup.near(pmask, max(0, r + 1 - k))
         items = set()
         for j in pairs:
             items.add(j)
             items.add(j + 1)
         if allow_single:
-            items.update(self.addr_lookup.near(pmask, 0))
+            addresses = self.addr_lookup.near(pmask, max(0, r - k))
+            items.update(addresses)
+            # With k == r the one address that can match is pmask itself.
+            if k == r and addresses:
+                single = addresses[0]
+                if pairs:
+                    return DecodeResult(
+                        AMBIGUOUS, None, single, 0, tuple(sorted(items)), tuple(pairs)
+                    )
+                return DecodeResult(EXACT_SINGLE, None, single, 0, (single,), ())
         return DecodeResult(
-            ERROR_FALSE_POSITIVE,
+            ERROR_FALSE_POSITIVE if k > r else ERROR_FALSE_NEGATIVE,
             None,
             None,
-            max(1, k - (self.r + 1)),
+            max(1, abs(k - (r + 1))),
             tuple(sorted(items)),
             tuple(pairs),
         )

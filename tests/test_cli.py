@@ -1,7 +1,12 @@
 import contextlib
+import decimal
 import io
 import json
+import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +20,24 @@ from graypool.cli import main
 def test_bound_prints_value(capsys):
     assert main(["bound", "--m", "5", "--r", "2"]) == 0
     assert capsys.readouterr().out.strip() == "10"
+
+
+def test_bound_prints_more_digits_than_int_to_str_allows(capsys):
+    # The bound, C(20000, 10001) + 1, has 6019 digits: past the default
+    # limit of 4300 that str(int) enforces.
+    assert main(["bound", "--m", "20000", "--r", "10000"]) == 0
+    out = capsys.readouterr().out
+    assert out == str(decimal.Decimal(math.comb(20000, 10001) + 1)) + "\n"
+    assert len(out) == 6020
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "graypool", "bound", "--m", "5", "--r", "2"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "10\n", "")
 
 
 def test_construct_validate_pipeline(tmp_path, capsys):

@@ -198,13 +198,28 @@ def test_indexed_decode_matches_scan(code, data):
         assert decoder.decode_mask(pmask, allow_single) == scan_decode(code, pmask, allow_single)
     for lookup in (decoder.union_lookup, decoder.addr_lookup):
         for outside in range(code.m + 1):
-            for cover in (False, True):
-                expected = lookup._scan(pmask, outside, cover)
-                found = lookup._lookup(pmask, outside, cover)
-                event("scan fallback" if found is None else "enumerated")
-                assert lookup.near(pmask, outside, cover) == expected
-                if found is not None:
-                    assert found == expected
+            expected = lookup._scan(pmask, outside)
+            found = lookup._lookup(pmask, outside)
+            event("scan fallback" if found is None else "enumerated")
+            assert lookup.near(pmask, outside) == expected
+            if found is not None:
+                assert found == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_valid_codes(), st.data())
+def test_near_rule_is_superset_after_dropouts_and_subset_after_extra_pools(code, data):
+    # A mask of weight w fits k observed pools when at most max(0, w-k) of its
+    # pools lie outside them. Pools above m match no mask.
+    pmask = data.draw(st.integers(0, (1 << (code.m + 2)) - 1), label="pmask")
+    k = pmask.bit_count()
+    decoder = PoolDecoder(code)
+    for lookup in (decoder.union_lookup, decoder.addr_lookup):
+        found = lookup.near(pmask, max(0, lookup.w - k))
+        if k <= lookup.w:
+            assert found == [j for j, x in enumerate(lookup.masks, 1) if not pmask & ~x]
+        if k >= lookup.w:
+            assert found == [j for j, x in enumerate(lookup.masks, 1) if not x & ~pmask]
 
 
 @pytest.mark.parametrize("m, addresses, requirement", INVALID_CODES)

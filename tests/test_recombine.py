@@ -1,3 +1,4 @@
+import importlib
 import random
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from graypool import (
     InfeasibleError,
     apply_row_permutation,
     balance_of,
+    bba,
     build_maximal,
     combine_pair,
     flip_complement,
@@ -294,3 +296,32 @@ def test_pool_table_relabels_a_block_onto_the_active_pools(data):
     assert [table[i] for i in _set_bits(src)] == list(_set_bits(dst))
     assert all(active >> table[i] & 1 for i in rows)
     assert not any(active >> table[i] & 1 for i in range(width, m))
+
+
+# (4, 2) addresses that repeat one address: any builder returning them has
+# broken, and validate rejects them. The package exports a function named
+# bba, so the module is looked up by name.
+_REPEATED = [0b0011, 0b0110, 0b0011]
+_BBA = importlib.import_module("graypool.bba")
+_RECOMBINE = importlib.import_module("graypool.recombine")
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, build",
+    [
+        (_BBA, "_construct_masks", lambda *a: _REPEATED, lambda: bba(4, 2, 3)),
+        (_RECOMBINE, "_construct_masks", lambda *a: _REPEATED,
+         lambda: rcbba_detailed(4, 2, 3)),
+        (_RECOMBINE._RecursiveCombiner, "run", lambda self: _REPEATED,
+         lambda: rcbba_detailed(6, 2, 12)),
+        (_RECOMBINE, "_maximal_with_closing",
+         lambda m, r, rng: (GrayCode(m, r, _REPEATED), 0), lambda: build_maximal(5, 2)),
+        (_RECOMBINE, "_maximal_by_flip", lambda m, r, rng: GrayCode(m, r, _REPEATED),
+         lambda: build_maximal(4, 2)),
+    ],
+    ids=["bba", "rcbba-degenerate", "rcbba-combiner", "maximal-closing", "maximal-flip"],
+)
+def test_constructions_refuse_a_code_that_fails_validation(monkeypatch, module, name, fake, build):
+    monkeypatch.setattr(module, name, fake)
+    with pytest.raises(RuntimeError, match="^internal error: .* fail(s|ed) validation"):
+        build()
