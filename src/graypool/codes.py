@@ -149,10 +149,17 @@ def balance_of(code: GrayCode) -> BalanceVector:
 
 
 def length_bound(m: int, r: int) -> int:
-    """Maximum possible code length for the given pool count and weight."""
+    """Maximum possible code length for the given pool count and weight.
+
+    That is min(C(m, r), C(m, r+1) + 1), with C(m, r+1) derived from C(m, r):
+    ``comb`` is almost all of the cost for large m.
+    """
+    if m < 1:
+        raise ValueError(f"pool count must be at least 1, got {m}")
     if r < 1 or r > m:
         raise ValueError(f"weight {r} out of range 1..{m}")
-    return min(comb(m, r), comb(m, r + 1) + 1)
+    c = comb(m, r)
+    return min(c, c * (m - r) // (r + 1) + 1)
 
 
 _BITS = frozenset(("0", "1"))
@@ -250,7 +257,8 @@ def code_from_json_dict(obj: dict) -> GrayCode:
     """Rebuild a code from its JSON object; derived fields are recomputed, not trusted.
 
     ``m``, ``r`` and ``n`` must be JSON integers: floats, strings and booleans
-    are rejected rather than converted.
+    are rejected rather than converted. An address that lists a pool twice
+    is rejected too.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"a code must be a JSON object, got a JSON {type(obj).__name__}")
@@ -265,7 +273,13 @@ def code_from_json_dict(obj: dict) -> GrayCode:
         raise ValueError("malformed code object: addresses must be a list of pool-index lists")
     if "n" in obj and obj["n"] != len(sets):
         raise ValueError(f"declared n={obj['n']} but {len(sets)} addresses present")
-    return GrayCode.from_index_sets(m, r, sets)
+    code = GrayCode.from_index_sets(m, r, sets)
+    # A repeated pool sets its bit once, so an address with one has more
+    # entries than bits.
+    if sum(map(len, sets)) != sum(map(int.bit_count, code.masks)):
+        j = next(j for j, x in enumerate(code.masks) if len(sets[j]) != x.bit_count())
+        raise ValueError(f"address {j + 1} lists a pool twice: {sets[j]}")
+    return code
 
 
 def save_code(code: GrayCode, path: str | Path, extra: dict | None = None) -> None:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import decimal
 import io
@@ -12,9 +13,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import INVALID_CODES
-from graypool import load_code, validate
+from graypool import build_maximal, load_code, save_code, validate
 from graypool.codes import mask_from_indices
-from graypool.cli import main
+from graypool.cli import build_parser, main
+
+
+def _run(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors, --help and --version
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_bound_prints_value(capsys):
@@ -115,6 +127,11 @@ def test_decode_subcommand(tmp_path, capsys):
     assert main(["decode", "--code", str(out), "--positives", "1,2", "--no-single"]) == 0
     result = json.loads(capsys.readouterr().out)
     assert result["single"] is None
+    # A pool listed twice among the positives is read once.
+    assert main(["decode", "--code", str(out), "--positives", "1,1,2"]) == 0
+    repeated = capsys.readouterr().out
+    assert main(["decode", "--code", str(out), "--positives", "1,2"]) == 0
+    assert repeated == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("m, addresses, requirement", INVALID_CODES)
@@ -152,6 +169,54 @@ def test_oracle_subcommands(capsys):
 def test_partition_subcommand(capsys):
     assert main(["partition", "--n-items", "10", "--d", "3"]) == 0
     assert json.loads(capsys.readouterr().out) == [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]]
+
+
+def test_bound_rejects_a_pool_count_below_one(capsys):
+    assert main(["bound", "--m", "-1", "--r", "1"]) == 3
+    assert capsys.readouterr().err == "graypool: error: pool count must be at least 1, got -1\n"
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path):
+    path = tmp_path / "code.json"
+    save_code(build_maximal(5, 2), path)
+    decode = ["decode", "--code", str(path), "--positives", "1,2"]
+    calls = [
+        [*decode, "--no-single"],
+        decode,
+        ["construct", "--alg", "nonsense", "--m", "5", "--r", "2"],
+        ["--version"],
+        ["construct", "--alg", "rcbba", "--m", "6", "--r", "2", "--n", "12"],
+        ["simulate", "--code", str(path), "--max-errors", "1"],
+        ["--help"],
+        ["decode", "--help"],
+    ]
+    build_parser.cache_clear()
+    reused = [_run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_run(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 3, 0, 0, 0, 0, 0]
+    # --no-single does not stay set for the next decode.
+    assert json.loads(reused[0][1])["single"] is None
+    assert json.loads(reused[1][1])["single"] is not None
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    assert main(["bound", "--m", "5", "--r", "2"]) == 0
+    first = len(built)
+    assert main(["partition", "--n-items", "4", "--d", "2"]) == 0
+    assert first > 0 and len(built) == first
 
 
 def test_version_flag(capsys):
@@ -206,6 +271,10 @@ def test_construct_reports_a_passed_deadline_in_one_line(capsys):
         ('{"m": 5, "r": 1, "n": 2.0, "addresses": [[1], [2]]}', "n must be an integer, got 2.0"),
         ('{"m": 5, "r": 2, "addresses": [[true, 2], [2, 3]]}', "pool index True out of range"),
         ('{"m": 5, "r": 2, "addresses": [[1.0, 2], [2, 3]]}', "pool index 1.0 out of range"),
+        (
+            '{"m": 5, "r": 2, "addresses": [[1, 2], [1, 1, 2], [2, 3]]}',
+            "address 2 lists a pool twice: [1, 1, 2]",
+        ),
         pytest.param(
             "[" * 10**5 + "]" * 10**5, "maximum recursion depth exceeded", id="nested-1e5-deep"
         ),
@@ -380,15 +449,6 @@ _csv_codes = st.lists(
 ).map(lambda rows: "\n".join(",".join(row) for row in rows) + "\n")
 
 
-def _exit_code(argv) -> int:
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            return main(argv)
-    except SystemExit as exc:  # argparse rejects the arguments
-        return exc.code
-
-
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -427,7 +487,7 @@ def test_cli_exits_with_a_code_on_any_code_file(
             "--samples", str(samples), "--error-type", error_type,
         ])
     for argv in runs:
-        assert _exit_code(argv) in {0, 1, 2, 3}, argv
+        assert _run(argv)[0] in {0, 1, 2, 3}, argv
 
 
 @st.composite
@@ -481,4 +541,4 @@ def _search_argv(draw):
 def test_cli_exits_with_a_code_on_any_search_argv(argv):
     # Regression cover: no argv of this kind was known to crash when this
     # test was written. An escaping exception fails it.
-    assert _exit_code(argv) in {0, 1, 2, 3}, argv
+    assert _run(argv)[0] in {0, 1, 2, 3}, argv

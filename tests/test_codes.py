@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -80,11 +81,20 @@ def test_length_bound(m, r, expected):
     assert length_bound(m, r) == expected
 
 
+def test_length_bound_matches_both_binomials():
+    for m in range(1, 61):
+        for r in range(1, m + 1):
+            assert length_bound(m, r) == min(math.comb(m, r), math.comb(m, r + 1) + 1), (m, r)
+
+
 def test_length_bound_rejects_bad_weight():
     with pytest.raises(ValueError):
         length_bound(4, 0)
     with pytest.raises(ValueError):
         length_bound(4, 5)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match=f"pool count must be at least 1, got {m}"):
+            length_bound(m, 1)
 
 
 @given(st.lists(masks_m6, min_size=1, max_size=20))
