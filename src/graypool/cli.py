@@ -118,7 +118,7 @@ def cmd_construct(args) -> int:
             raise ValueError("--n is required for bba and rcbba")
         if args.alg == "bba":
             first = None
-            if args.first_address:
+            if args.first_address is not None:
                 first = mask_from_indices(_parse_indices(args.first_address), args.m)
             code = bba(
                 args.m,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
-from .codes import GrayCode, mask_from_indices
+from .codes import GrayCode, _set_bits, mask_from_indices
 
 EXACT_PAIR = "exact-pair"
 EXACT_SINGLE = "exact-single"
@@ -91,24 +91,48 @@ def _bit_sums(bits: list[int], t: int) -> list[int]:
     return sums
 
 
+class _Plans(dict[tuple[int, int], tuple[range, int]]):
+    """Enumeration plans for masks of weight w over m pools, keyed by
+    (k, outside): every count t of pools outside k observed ones that a mask
+    with at most ``outside`` such pools can have, taking its other w-t pools
+    from the observation, and the lookups enumerating them takes. A plan is
+    computed on first use; k and outside run over 0..m, so at most (m+1)^2
+    are kept."""
+
+    def __init__(self, m: int, w: int):
+        super().__init__()
+        self.m = m
+        self.w = w
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[range, int]:
+        k, outside = key
+        m, w = self.m, self.w
+        counts = range(max(0, w - k), min(outside, m - k, w) + 1)
+        plan = self[key] = counts, sum([comb(k, w - t) * comb(m - k, t) for t in counts])
+        return plan
+
+
 class _MaskLookup:
     """Finds the masks of one list, all of weight w, that lie near an
     observation.
 
     Holds the decoder's mask list and its mask -> position index, not copies
-    of them. A query enumerates every mask of weight w that could qualify and
-    looks it up in the index; when that would take more lookups than the
-    list has masks, it scans the list instead.
+    of them, and the query plans (``_Plans``). A query builds every mask of
+    weight w that could qualify, from the observed pools and, only when a
+    mask may take pools outside them, from the other pools too, and looks
+    each one up in the index; when that would take more lookups than the
+    list has masks, it scans the list instead. So a query builds no more
+    masks than it looks up, plus one m-bit mask.
     """
 
-    __slots__ = ("m", "w", "masks", "index", "_bits")
+    __slots__ = ("m", "w", "masks", "index", "_plans")
 
     def __init__(self, m: int, w: int, masks: list[int], index: dict[int, int]):
         self.m = m
         self.w = w
         self.masks = masks
         self.index = index
-        self._bits = [1 << i for i in range(m)]
+        self._plans = _Plans(m, w)
 
     def near(self, pmask: int, outside: int) -> list[int]:
         """Ascending 1-based positions of the masks with at most ``outside``
@@ -119,42 +143,31 @@ class _MaskLookup:
         its pools lie outside them: for k <= w the mask then contains the
         observation (dropouts), for k >= w it lies inside it (extra pools).
         A lit pool above m leaves fewer than k pools to match, so such an
-        observation finds nothing."""
-        found = self._lookup(pmask, outside)
-        return self._scan(pmask, outside) if found is None else found
-
-    def _lookup(self, pmask: int, outside: int) -> list[int] | None:
-        """``near`` by enumeration, or None when that would take more lookups
-        than the list has masks. Bits of ``pmask`` above pool m are never
-        enumerated: no mask contains them."""
-        low = pmask & ((1 << self.m) - 1)
-        counts, cost = self._outside_counts(low.bit_count(), outside)
+        observation finds nothing, and its bits are never enumerated."""
+        full = (1 << self.m) - 1
+        low = pmask & full
+        counts, cost = self._plans[low.bit_count(), outside]
         if cost > len(self.masks):
-            return None
-        inside = [b for b in self._bits if b & low]
-        rest = [b for b in self._bits if not b & low]
+            return self._scan(pmask, outside)
+        inside = [1 << i for i in _set_bits(low)]
+        # A count t > 0 costs C(m-k, t) >= m-k lookups unless t = m-k <= w,
+        # so there are no more other pools than masks, or than w.
+        rest = [1 << i for i in _set_bits(full ^ low)] if counts and counts[-1] else []
         get = self.index.get
-        found = []
+        found: list[int] = []
         for t in counts:
-            heads = _bit_sums(inside, self.w - t)
-            found += [
-                j for tail in _bit_sums(rest, t) for h in heads if (j := get(h | tail)) is not None
-            ]
+            candidates = _bit_sums(inside, self.w - t)
+            if t:
+                candidates = [h | tail for tail in _bit_sums(rest, t) for h in candidates]
+            # Positions start at 1, so a miss is the only falsy lookup.
+            found += filter(None, map(get, candidates))
         found.sort()
         return found
 
     def cost(self, k: int, outside: int) -> int:
         """Masks a ``near`` query with k observed pools below pool m visits:
         the lookups it enumerates, or the whole list when it scans."""
-        return min(self._outside_counts(k, outside)[1], len(self.masks))
-
-    def _outside_counts(self, k: int, outside: int) -> tuple[range, int]:
-        """Every count t of pools outside k observed ones that a qualifying
-        mask can have, taking its other w-t pools from the observation, and
-        how many lookups enumerating them takes."""
-        w = self.w
-        counts = range(max(0, w - k), min(outside, self.m - k, w) + 1)
-        return counts, sum([comb(k, w - t) * comb(self.m - k, t) for t in counts])
+        return min(self._plans[k, outside][1], len(self.masks))
 
     def _scan(self, pmask: int, outside: int) -> list[int]:
         return [j for j, x in enumerate(self.masks, 1) if (x & ~pmask).bit_count() <= outside]

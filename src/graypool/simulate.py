@@ -23,10 +23,12 @@ group is the pair list of its outcome and no outcome is looked up (see
 outcome, at most C(m, r+1+e), and one list slot per trial of an outcome
 that two or more trials share; they are dropped when the level ends, and
 a level of more than ``_AUTO_TRIAL_CEILING`` trials counts per trial
-instead, so memory stays bounded. A sampled pair count looks the (r+1)-subsets of the observation
-up in the decoder's union index; when there are more subsets than unions
-it scans the unions instead, as the decoder does, so no outcome costs
-more than O(n). A dropout level either asks ``decoder.addr_lookup`` per
+instead, so memory stays bounded. Per trial, sampled or above the
+ceiling, the pair list comes from the decoder's union lookup,
+``decoder.union_lookup.near(p, 0)``, under the same enumerate-or-scan
+rule as ``PoolDecoder.decode``, so no outcome costs more than O(n). Either
+way a pair list of length L counts 2L items less one per adjacent pair
+(``_items``). A dropout level either asks ``decoder.addr_lookup`` per
 trial or first tallies, over every address, how many addresses hold each
 of its (k-1)- and k-subsets; an outcome's count is then k+1 lookups in
 that table (see ``_dropout_count``), which is dropped when the level ends.
@@ -45,6 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import sub
 from typing import Callable, Iterator
 
 from .codes import GrayCode, _set_bits
@@ -75,30 +78,12 @@ class SimSweepRecord:
     fraction_of_n: float
 
 
-def _pair_count(decoder: PoolDecoder) -> Callable[[int], int]:
-    """Count of the items of the pairs whose union lies inside an observation.
-
-    The (r+1)-subsets of the observation are looked up in the union index,
-    up to the observation size ``widest`` beyond which they outnumber the
-    unions and the union lookup scans instead. Two found pairs j and j+1
-    share item j+1.
-    """
-    t = decoder.r + 1
-    get = decoder.union_index.get
-    near = decoder.union_lookup.near
-    widest = max(k for k in range(t, decoder.m + 1) if comb(k, t) <= len(decoder.union_masks))
-
-    def count(pmask: int) -> int:
-        if pmask.bit_count() > widest:
-            pairs = near(pmask, 0)
-        else:
-            pairs = list(filter(None, map(get, _bit_sums([1 << i for i in _set_bits(pmask)], t))))
-        if len(pairs) == 1:
-            return 2
-        found = set(pairs)
-        return 2 * len(pairs) - sum([j + 1 in found for j in pairs])
-
-    return count
+def _items(pairs: list[int]) -> int:
+    """Count of the items of an ascending pair list: pairs j and j+1 share
+    item j+1."""
+    if len(pairs) < 2:
+        return 2 * len(pairs)
+    return 2 * len(pairs) - list(map(sub, pairs[1:], pairs)).count(1)
 
 
 def _dropout_count(decoder: PoolDecoder, e: int) -> Callable[[int], int]:
@@ -155,8 +140,7 @@ def _grouped_pair_totals(unions: list[int], m: int, e: int) -> tuple[int, int]:
         if isinstance(pairs, int):
             total += 2
             continue
-        # Pairs j and j+1 share item j+1.
-        count = 2 * len(pairs) - sum([b - a == 1 for a, b in zip(pairs, pairs[1:])])
+        count = _items(pairs)
         total += len(pairs) * count
         if count > worst:
             worst = count
@@ -243,7 +227,9 @@ def simulate_sweep(
     def near(pmask: int) -> int:
         return len(decoder.addr_lookup.near(pmask, code.r + 1 - pmask.bit_count()))
 
-    pair_count = _pair_count(decoder)
+    def pair_count(pmask: int) -> int:
+        return _items(decoder.union_lookup.near(pmask, 0))
+
     rng = random.Random(seed)
     records = []
     for e in range(max_errors + 1):

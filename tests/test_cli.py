@@ -328,6 +328,7 @@ def test_construct_rejects_options_its_algorithm_ignores(capsys, argv, flags):
         ("0", "pool index 0 out of range 1..5"),
         ("1,2,3", "first address must have weight 2"),
         (",", "first address must have weight 2"),
+        ("", "first address must have weight 2"),
     ],
 )
 def test_construct_rejects_a_bad_first_address(capsys, first, message):

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -196,14 +197,13 @@ def test_indexed_decode_matches_scan(code, data):
     decoder = PoolDecoder(code)
     for allow_single in (True, False):
         assert decoder.decode_mask(pmask, allow_single) == scan_decode(code, pmask, allow_single)
+    k = (pmask & ((1 << code.m) - 1)).bit_count()
     for lookup in (decoder.union_lookup, decoder.addr_lookup):
         for outside in range(code.m + 1):
-            expected = lookup._scan(pmask, outside)
-            found = lookup._lookup(pmask, outside)
-            event("scan fallback" if found is None else "enumerated")
-            assert lookup.near(pmask, outside) == expected
-            if found is not None:
-                assert found == expected
+            # A cost as high as the list scans it, or enumerates as many.
+            scans = lookup.cost(k, outside) == len(lookup.masks)
+            event("scan fallback" if scans else "enumerated")
+            assert lookup.near(pmask, outside) == lookup._scan(pmask, outside)
 
 
 @settings(max_examples=300, deadline=None)
@@ -239,14 +239,34 @@ def test_lookup_falls_back_to_scan_only_above_n(code_6_2_15, monkeypatch):
     masks = list(code_6_2_15.bitmasks())
     union = masks[0] | masks[1]
     dropped = union & (union - 1)
+    unions = decoder.union_lookup
     # 14 unions of weight 3 over 6 pools. One dropout: C(4, 1) = 4 supersets.
+    assert unions.cost(2, 1) == 4
     assert decoder.decode_mask(dropped, False) == scan_decode(code_6_2_15, dropped, False)
     # Two extra pools: C(5, 3) = 10 subsets.
     extra = union | (0b111111 & ~union) & ((0b111111 & ~union) - 1)
     assert extra.bit_count() == 5
+    assert unions.cost(5, 0) == 10
     assert decoder.decode_mask(extra, False) == scan_decode(code_6_2_15, extra, False)
     assert scans == []
     # An empty outcome has C(6, 3) = 20 supersets and the full one 20 subsets.
+    assert unions.cost(0, 3) == unions.cost(6, 0) == 14
     assert decoder.decode_mask(0, False) == scan_decode(code_6_2_15, 0, False)
     assert decoder.decode_mask(0b111111, False) == scan_decode(code_6_2_15, 0b111111, False)
     assert len(scans) == 2
+
+
+def test_decoder_memory_does_not_grow_with_m():
+    # Three addresses over 20000 pools: a lookup that enumerated over every
+    # pool would hold m masks of up to m bits each.
+    tracemalloc.start()
+    try:
+        decoder = PoolDecoder(GrayCode(20000, 1, [0b1, 0b10, 0b100]))
+        statuses = [decoder.decode_mask(p).status for p in (0b11, 0b1, 0b111, 0, 0b110)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert statuses == [
+        "exact-pair", "ambiguous", "error-false-positive", "error-false-negative", "exact-pair"
+    ]
+    assert peak < 1 << 20

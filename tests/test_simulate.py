@@ -60,6 +60,16 @@ def test_auto_mode_picks_exhaustive_for_small_codes(code_5_2_10):
     assert records[1].trials == (code_5_2_10.n - 1) * 3
 
 
+@pytest.mark.parametrize("error_type", ["false-negative", "false-positive"])
+def test_auto_mode_ceiling_is_the_exhaustive_trial_total(code_5_2_10, error_type):
+    exhaustive = [rec.trials for rec in simulate_sweep(code_5_2_10, 2, error_type=error_type)]
+    total = sum(exhaustive)
+    for ceiling, trials in ((total, exhaustive), (total - 1, [7] * 3)):
+        with mock.patch.object(simulate, "_AUTO_TRIAL_CEILING", ceiling):
+            records = simulate_sweep(code_5_2_10, 2, mode="auto", samples=7, error_type=error_type)
+        assert [rec.trials for rec in records] == trials
+
+
 def test_false_positive_injection(medium_code):
     records = simulate_sweep(medium_code, 1, error_type="false-positive")
     assert records[0].mean_candidates == 2.0
@@ -68,8 +78,10 @@ def test_false_positive_injection(medium_code):
 
 
 def test_rejects_silly_parameters(code_5_2_10):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_errors must be below r\\+1=3"):
         simulate_sweep(code_5_2_10, 3)  # would drop every positive pool
+    with pytest.raises(ValueError, match="max_errors must be at most m-\\(r\\+1\\)=2 "):
+        simulate_sweep(code_5_2_10, 3, error_type="false-positive")
     with pytest.raises(ValueError):
         simulate_sweep(code_5_2_10, -1)
     with pytest.raises(ValueError):
