@@ -60,7 +60,10 @@ def _set_bits(mask: int) -> tuple[int, ...]:
     through here. Looking 10-bit chunks up in a table is about twice as fast
     as peeling off the low bit one at a time. Only pools 1..20 have tables,
     about 90 kB each; above them each nonzero chunk is read from the first
-    table and offset, so memory does not grow with the mask's width.
+    table and offset, so memory does not grow with the mask's width. Above
+    pool 20 a mask with fewer set bits than chunks, such as a decoder answer
+    over a long code, has its lowest set bit peeled off instead, one at a
+    time, so its cost grows with its set bits, not with its width.
     """
     out = _LOW_BITS[mask & 1023]
     mask >>= 10
@@ -69,12 +72,18 @@ def _set_bits(mask: int) -> tuple[int, ...]:
         mask >>= 10
         if mask:
             rest: list[int] = []
-            base = 20
-            while mask:
-                if chunk := mask & 1023:
-                    rest += [base + i for i in _LOW_BITS[chunk]]
-                mask >>= 10
-                base += 10
+            if mask.bit_count() * 10 < mask.bit_length():
+                while mask:
+                    low = mask & -mask
+                    rest.append(low.bit_length() + 19)
+                    mask ^= low
+            else:
+                base = 20
+                while mask:
+                    if chunk := mask & 1023:
+                        rest += [base + i for i in _LOW_BITS[chunk]]
+                    mask >>= 10
+                    base += 10
             out += tuple(rest)
     return out
 

@@ -10,14 +10,16 @@ pools exactly when at most max(0, w-k) of its pools lie outside them. With
 fewer than w pools (false negatives) the truth contains the observation;
 with more (false positives) it lies inside it.
 
-The error path does not scan the code. It enumerates every union and
-address mask that could be consistent with the observation and looks each
-one up in the decoder's mask tables, so its cost depends on m, r and the
-observation but not on the code length n. For k observed pools that is
-C(m-k, r+1-k) union supersets after a false negative and C(k, r+1) union
-subsets after a false positive. When the enumeration would need more
-lookups than the code has masks, as for an empty observation, the decoder
-scans the code instead, so no outcome costs more than O(n).
+The error path does not scan the code. Each query takes the cheaper of two
+ways (see ``_MaskLookup``). One enumerates every union or address mask that
+could be consistent with the observation and looks each one up in the
+decoder's mask tables; its cost depends on m, r and the observation but
+not on the code length n. For k observed pools that is C(m-k, r+1-k) union
+supersets after a false negative and C(k, r+1) union subsets after a false
+positive. The other counts on pool columns, one n-bit int per pool, with a
+few big-int operations whose cost grows with n. A decoder builds its
+columns only once enumerating would have cost it more than the build, so a
+one-shot decode of a long code never builds them.
 
 The decoder takes valid codes only: distinct addresses of weight r whose
 consecutive unions are distinct and of weight r+1. So each lookup
@@ -26,8 +28,12 @@ enumerates masks of one weight, and each mask has one position.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, repeat
 from math import comb
+from operator import and_, or_, rshift
 from typing import Iterable
 
 from .codes import GrayCode, _set_bits, mask_from_indices
@@ -79,6 +85,8 @@ def _bit_sums(bits: list[int], t: int) -> list[int]:
     the smaller subsets are cheaper to build.
     """
     k = min(t, len(bits) - t)
+    if k == 0:
+        return [sum(bits) if t else 0]
     if k == 1:
         sums = bits
     else:
@@ -91,24 +99,81 @@ def _bit_sums(bits: list[int], t: int) -> list[int]:
     return sums
 
 
-class _Plans(dict[tuple[int, int], tuple[range, int]]):
-    """Enumeration plans for masks of weight w over m pools, keyed by
-    (k, outside): every count t of pools outside k observed ones that a mask
-    with at most ``outside`` such pools can have, taking its other w-t pools
-    from the observation, and the lookups enumerating them takes. A plan is
-    computed on first use; k and outside run over 0..m, so at most (m+1)^2
-    are kept."""
+def _at_least(columns: list[int], s: int, every: int) -> int:
+    """The masks, as a bitset, that hold at least s of ``columns``.
 
-    def __init__(self, m: int, w: int):
+    s = len is the AND of the columns, s = 1 their OR, and s = len-1 the OR
+    over each column of the ANDs before and after it, each a few C-level
+    loops (see ``_kernel_ops``). Any other s runs a saturating counter:
+    ``held[j]`` has the masks holding at least j of the columns read so
+    far, and a column updates only the counts that can still reach s.
+    """
+    c = len(columns)
+    if s <= 0:
+        return every
+    if s > c:
+        return 0
+    if s == c:
+        return reduce(and_, columns)
+    if s == 1:
+        return reduce(or_, columns)
+    if s == c - 1:
+        before = [every, *accumulate(columns, and_)]
+        after = [*accumulate(reversed(columns), and_)][::-1]
+        return reduce(or_, map(and_, before, after[1:] + [every]))
+    held = [every] + [0] * s
+    for i, column in enumerate(columns):
+        for j in range(min(i + 1, s), max(0, s - c + i), -1):
+            held[j] |= held[j - 1] & column
+    return held[s]
+
+
+def _kernel_ops(c: int, s: int) -> int:
+    """Big-int operations ``_at_least`` takes on c columns, counting one
+    step of its counter, run in Python, as three."""
+    if s <= 0 or s > c:
+        return 0
+    if s == 1 or s == c:
+        return c
+    if s == c - 1:
+        return 4 * c
+    return 3 * s * (c - s + 1)
+
+
+class _Plans(dict[tuple[int, int], tuple[range, float, float, int, bool]]):
+    """Query plans for the n masks of weight w over m pools, keyed by
+    (k, outside) for k observed pools.
+
+    A plan holds the counts t of pools outside the observation that an
+    enumerated mask can have, taking its other w-t pools from it. The
+    column query (``_at_least``) counts on the side with fewer operations:
+    at least w-outside of the k inside columns, or at most ``outside`` of
+    the m-k others. The plan holds that side, its operations, and what the
+    column query saves over enumerating, in lookups, for a bitset answer
+    and for a list of positions. An operation costs about 0.5 lookups plus
+    one per 30,000 masks (n/30 digits of 30 bits). Listing a found position
+    costs about 1 lookup plus one per 10,000 masks, and a lookup finds a
+    mask with probability n/C(m, w). A plan is computed on first use; k and
+    outside run over 0..m, so at most (m+1)^2 are kept.
+    """
+
+    def __init__(self, m: int, w: int, n: int):
         super().__init__()
         self.m = m
         self.w = w
+        self.n = n
 
-    def __missing__(self, key: tuple[int, int]) -> tuple[range, int]:
+    def __missing__(self, key: tuple[int, int]) -> tuple[range, float, float, int, bool]:
         k, outside = key
-        m, w = self.m, self.w
+        m, w, n = self.m, self.w, self.n
         counts = range(max(0, w - k), min(outside, m - k, w) + 1)
-        plan = self[key] = counts, sum([comb(k, w - t) * comb(m - k, t) for t in counts])
+        lookups = sum([comb(k, w - t) * comb(m - k, t) for t in counts])
+        inside = _kernel_ops(k, w - outside)
+        others = _kernel_ops(m - k, outside + 1)
+        ops = min(inside, others)
+        saving = lookups - ops * (0.5 + n / 30000)
+        listing = lookups * n / comb(m, w) * (1 + n / 10000) if n else 0
+        plan = self[key] = counts, saving, saving - listing, ops, inside <= others
         return plan
 
 
@@ -117,22 +182,38 @@ class _MaskLookup:
     observation.
 
     Holds the decoder's mask list and its mask -> position index, not copies
-    of them, and the query plans (``_Plans``). A query builds every mask of
-    weight w that could qualify, from the observed pools and, only when a
-    mask may take pools outside them, from the other pools too, and looks
-    each one up in the index; when that would take more lookups than the
-    list has masks, it scans the list instead. So a query builds no more
-    masks than it looks up, plus one m-bit mask.
+    of them, and the query plans (``_Plans``). A query answers in one of two
+    ways. It can build every mask of weight w that could qualify, from the
+    observed pools and, only when a mask may take pools outside them, from
+    the other pools too, and look each one up in the index. Or it can count
+    on the pool columns: for each pool some mask holds, an int whose bit j
+    says that the mask at position j holds it. A mask of weight w has at
+    most ``outside`` pools outside the observation exactly when it holds at
+    least w-outside of the observed pools, so a few big-int operations on
+    those columns answer every query (``_at_least``).
+
+    Each query takes the way its plan says is cheaper. The columns are
+    built on first need and only then (rent or buy): the lookup adds up
+    what the columns would have saved each query so far, and builds them
+    once that reaches the cost of a build, about one lookup per mask for
+    each 32 pools. So a decoder that answers a few queries cheap to
+    enumerate, as a one-shot decode does, never builds them, and no query
+    enumerates more than a build costs.
     """
 
-    __slots__ = ("m", "w", "masks", "index", "_plans")
+    __slots__ = ("m", "w", "masks", "index", "_plans", "_every", "_rent", "_held", "_columns")
 
     def __init__(self, m: int, w: int, masks: list[int], index: dict[int, int]):
         self.m = m
         self.w = w
         self.masks = masks
         self.index = index
-        self._plans = _Plans(m, w)
+        self._plans = _Plans(m, w, len(masks))
+        self._every = ((1 << len(masks)) - 1) << 1  # bits 1..n: every position
+        # What the columns must save, in lookups, before they are built.
+        self._rent = len(masks) * (m // 32 + 1)
+        self._held = 0  # the pools that some mask holds, once the columns are built
+        self._columns: dict[int, int] | None = None
 
     def near(self, pmask: int, outside: int) -> list[int]:
         """Ascending 1-based positions of the masks with at most ``outside``
@@ -143,16 +224,38 @@ class _MaskLookup:
         its pools lie outside them: for k <= w the mask then contains the
         observation (dropouts), for k >= w it lies inside it (extra pools).
         A lit pool above m leaves fewer than k pools to match, so such an
-        observation finds nothing, and its bits are never enumerated."""
+        observation finds nothing, and no mask or column holds its bit."""
+        found = self.find(pmask, outside, True)
+        return found if type(found) is list else list(_set_bits(found))
+
+    def find(self, pmask: int, outside: int, listed: bool = False) -> list[int] | int:
+        """The answer of ``near`` as found: the ascending positions (a list)
+        when enumerating costs less, or else the column bitset (an int, bit
+        j for position j). ``listed`` prices the listing of a bitset's
+        positions in, for a caller that needs them; a caller that counts
+        takes either form as it comes."""
         full = (1 << self.m) - 1
         low = pmask & full
-        counts, cost = self._plans[low.bit_count(), outside]
-        if cost > len(self.masks):
-            return self._scan(pmask, outside)
+        counts, for_bits, for_list, ops, inside = self._plans[low.bit_count(), outside]
+        saving = for_list if listed else for_bits
+        if saving > 0:
+            if not ops:
+                return self._every  # every mask qualifies, no column needed
+            if self._columns is None:
+                self._rent -= saving
+                if self._rent > 0:
+                    return self._enumerate(low, full ^ low, counts)
+            return self._count(low, outside, inside)
+        return self._enumerate(low, full ^ low, counts)
+
+    def _enumerate(self, low: int, others: int, counts: range) -> list[int]:
+        """Positions of the masks of weight w with t of the pools ``others``
+        and w-t of the pools ``low``, for every t in ``counts``, by looking
+        each one up."""
         inside = [1 << i for i in _set_bits(low)]
         # A count t > 0 costs C(m-k, t) >= m-k lookups unless t = m-k <= w,
-        # so there are no more other pools than masks, or than w.
-        rest = [1 << i for i in _set_bits(full ^ low)] if counts and counts[-1] else []
+        # so listing the other pools costs no more than enumerating.
+        rest = [1 << i for i in _set_bits(others)] if counts and counts[-1] else []
         get = self.index.get
         found: list[int] = []
         for t in counts:
@@ -164,13 +267,36 @@ class _MaskLookup:
         found.sort()
         return found
 
-    def cost(self, k: int, outside: int) -> int:
-        """Masks a ``near`` query with k observed pools below pool m visits:
-        the lookups it enumerates, or the whole list when it scans."""
-        return min(self._plans[k, outside][1], len(self.masks))
+    def _count(self, low: int, outside: int, inside: bool) -> int:
+        """Bitset of the masks with at most ``outside`` pools outside
+        ``low``, counted on the columns of ``low``'s pools or, if not
+        ``inside``, on the others; builds the columns if need be."""
+        if self._columns is None:
+            self._build()
+        column = self._columns.__getitem__
+        if inside:
+            held = list(map(column, _set_bits(low & self._held)))
+            return _at_least(held, self.w - outside, self._every)
+        others = list(map(column, _set_bits(self._held & ~low)))
+        return self._every & ~_at_least(others, outside + 1, self._every)
 
-    def _scan(self, pmask: int, outside: int) -> list[int]:
-        return [j for j, x in enumerate(self.masks, 1) if (x & ~pmask).bit_count() <= outside]
+    def _build(self) -> None:
+        """Transpose the masks into columns at C level, one word of pools
+        at a time: the word of every mask, position 0 a zero pad, packed
+        into one int whose binary string holds each column as one strided
+        slice. Only pools that some mask holds get a column."""
+        padded = [0, *self.masks]
+        self._held = held = reduce(or_, padded)
+        word = 8 * array("I").itemsize
+        ones = (1 << word) - 1
+        columns = {}
+        for base in range(0, held.bit_length(), word):
+            if chunk := held >> base & ones:
+                packed = array("I", map(and_, map(rshift, padded, repeat(base)), repeat(ones)))
+                bits = format(int.from_bytes(packed.tobytes(), "little"), f"0{len(packed) * word}b")
+                for i in _set_bits(chunk):
+                    columns[base + i] = int(bits[word - 1 - i :: word], 2)
+        self._columns = columns
 
 
 class PoolDecoder:

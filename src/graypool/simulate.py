@@ -23,20 +23,19 @@ group is the pair list of its outcome and no outcome is looked up (see
 outcome, at most C(m, r+1+e), and one list slot per trial of an outcome
 that two or more trials share; they are dropped when the level ends, and
 a level of more than ``_AUTO_TRIAL_CEILING`` trials counts per trial
-instead, so memory stays bounded. Per trial, sampled or above the
-ceiling, the pair list comes from the decoder's union lookup,
-``decoder.union_lookup.near(p, 0)``, under the same enumerate-or-scan
-rule as ``PoolDecoder.decode``, so no outcome costs more than O(n). Either
-way a pair list of length L counts 2L items less one per adjacent pair
-(``_items``). A dropout level either asks ``decoder.addr_lookup`` per
-trial or first tallies, over every address, how many addresses hold each
-of its (k-1)- and k-subsets; an outcome's count is then k+1 lookups in
-that table (see ``_dropout_count``), which is dropped when the level ends.
-The table has n*C(r+1, e) entries, and building one costs about as much
-as three mask visits of the address lookup, so a level takes the table
-when its trials would visit at least three masks per entry
-(``_VISITS_PER_ENTRY``). These shortcuts rely on the code being valid,
-and the decoder the sweep builds rejects any other code.
+instead, so memory stays bounded. An exhaustive dropout level first
+tallies, over every address, how many addresses hold each of its (k-1)-
+and k-subsets; an outcome's count is then k+1 lookups in that table (see
+``_dropout_count``), which has n*C(r+1, e) entries and is dropped when the
+level ends. Every other trial, sampled or above the ceiling, asks the
+decoder's union lookup for its pairs or its address lookup for its
+dropout count, ``find``, under the same cost rule as
+``PoolDecoder.decode``. The answer comes as enumerated positions or as a
+column bitset, and is counted as it comes: an address count is its length
+or its bit count, and a pair list of length L counts 2L items less one per
+adjacent pair (``_items``), a pair bitset P ``(P | P << 1).bit_count()``.
+These shortcuts rely on the code being valid, and the decoder the sweep
+builds rejects any other code.
 """
 
 from __future__ import annotations
@@ -59,11 +58,6 @@ FALSE_NEGATIVE = "false-negative"
 FALSE_POSITIVE = "false-positive"
 
 _AUTO_TRIAL_CEILING = 10**6
-
-# Mask visits of ``addr_lookup.near`` that cost as much as one entry of a
-# dropout table: the break-even trial count measured at (18, 6) with
-# n = 1000 and 3000 and e = 1..6 lies within a factor of 1.5 of this model.
-_VISITS_PER_ENTRY = 3
 
 
 @dataclass(frozen=True)
@@ -224,23 +218,23 @@ def simulate_sweep(
                 u = unions[rng.randrange(len(unions))]
                 yield u ^ sum(rng.sample(flippable(u), e))
 
-    def near(pmask: int) -> int:
-        return len(decoder.addr_lookup.near(pmask, code.r + 1 - pmask.bit_count()))
+    def dropout_count(pmask: int) -> int:
+        found = decoder.addr_lookup.find(pmask, code.r + 1 - pmask.bit_count())
+        return len(found) if type(found) is list else found.bit_count()
 
     def pair_count(pmask: int) -> int:
-        return _items(decoder.union_lookup.near(pmask, 0))
+        pairs = decoder.union_lookup.find(pmask, 0)
+        # Pair j holds items j and j+1.
+        return _items(pairs) if type(pairs) is list else (pairs | pairs << 1).bit_count()
 
     rng = random.Random(seed)
     records = []
     for e in range(max_errors + 1):
         trials = (code.n - 1) * comb(pool_count, e) if mode == "exhaustive" else samples
-        entries = code.n * comb(code.r + 1, e)
         if e != 0 and error_type == FALSE_NEGATIVE:
-            if trials * decoder.addr_lookup.cost(code.r + 1 - e, e) < _VISITS_PER_ENTRY * entries:
-                total_candidates, worst = _totals(map(near, outcomes(e)))
-            else:
-                # The dropout table lives for this level only.
-                total_candidates, worst = _totals(map(_dropout_count(decoder, e), outcomes(e)))
+            # The dropout table lives for this level only.
+            count = _dropout_count(decoder, e) if mode == "exhaustive" else dropout_count
+            total_candidates, worst = _totals(map(count, outcomes(e)))
         elif mode == "exhaustive" and trials <= _AUTO_TRIAL_CEILING:
             total_candidates, worst = _grouped_pair_totals(unions, code.m, e)
         else:

@@ -31,6 +31,20 @@ def test_set_bits_lists_every_set_bit(mask):
     assert _set_bits(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+@given(
+    st.one_of(
+        st.binary(max_size=1 << 10).map(lambda data: int.from_bytes(data, "little")),
+        st.sets(st.integers(0, (1 << 13) - 1), max_size=12).map(
+            lambda bits: sum(1 << b for b in bits)
+        ),
+    )
+)
+def test_set_bits_on_wide_dense_and_sparse_masks(mask):
+    # Up to 2^13 bits wide: dense masks from random bytes, sparse ones with a
+    # few bits far apart, so that long runs of zero chunks are jumped.
+    assert _set_bits(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def test_set_bits_keeps_no_tables_for_wide_masks():
     tracemalloc.start()
     try:

@@ -1,12 +1,15 @@
+import random
 import tracemalloc
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from conftest import INVALID_CODES, small_valid_codes
-from graypool import GrayCode, PoolDecoder, partition_items
-from graypool.decode import DecodeResult, _MaskLookup
+from graypool import GrayCode, PoolDecoder, partition_items, rcbba
+from graypool.codes import _set_bits
+from graypool.decode import DecodeResult, _bit_sums
 
 
 def test_exact_pair(code_5_2_10):
@@ -189,6 +192,11 @@ def scan_decode(code: GrayCode, pmask: int, allow_single: bool) -> DecodeResult:
     )
 
 
+def scan_near(lookup, pmask: int, outside: int) -> list[int]:
+    """Reference for ``_MaskLookup.near``: scans every mask of the lookup."""
+    return [j for j, x in enumerate(lookup.masks, 1) if (x & ~pmask).bit_count() <= outside]
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_valid_codes(), st.data())
 def test_indexed_decode_matches_scan(code, data):
@@ -197,13 +205,11 @@ def test_indexed_decode_matches_scan(code, data):
     decoder = PoolDecoder(code)
     for allow_single in (True, False):
         assert decoder.decode_mask(pmask, allow_single) == scan_decode(code, pmask, allow_single)
-    k = (pmask & ((1 << code.m) - 1)).bit_count()
     for lookup in (decoder.union_lookup, decoder.addr_lookup):
         for outside in range(code.m + 1):
-            # A cost as high as the list scans it, or enumerates as many.
-            scans = lookup.cost(k, outside) == len(lookup.masks)
-            event("scan fallback" if scans else "enumerated")
-            assert lookup.near(pmask, outside) == lookup._scan(pmask, outside)
+            found = lookup.find(pmask, outside)
+            event("columns" if type(found) is int else "enumerated")
+            assert lookup.near(pmask, outside) == scan_near(lookup, pmask, outside)
 
 
 @settings(max_examples=300, deadline=None)
@@ -229,31 +235,113 @@ def test_decoder_rejects_invalid_codes(m, addresses, requirement):
     assert str(excinfo.value) == f"code needs {requirement}"
 
 
-def test_lookup_falls_back_to_scan_only_above_n(code_6_2_15, monkeypatch):
-    scans = []
-    scan = _MaskLookup._scan
-    monkeypatch.setattr(
-        _MaskLookup, "_scan", lambda self, *args: scans.append(args) or scan(self, *args)
-    )
+def test_lookup_falls_back_to_scan_only_above_n(code_6_2_15):
+    # The scan fallback became the column query, whose columns a lookup
+    # builds only once they would have saved about n lookups. None of these
+    # decodes saves that much on 14 unions: the empty and the full outcome
+    # fit every union, which needs no column, and the others enumerate.
     decoder = PoolDecoder(code_6_2_15)
     masks = list(code_6_2_15.bitmasks())
     union = masks[0] | masks[1]
     dropped = union & (union - 1)
     unions = decoder.union_lookup
     # 14 unions of weight 3 over 6 pools. One dropout: C(4, 1) = 4 supersets.
-    assert unions.cost(2, 1) == 4
     assert decoder.decode_mask(dropped, False) == scan_decode(code_6_2_15, dropped, False)
     # Two extra pools: C(5, 3) = 10 subsets.
     extra = union | (0b111111 & ~union) & ((0b111111 & ~union) - 1)
     assert extra.bit_count() == 5
-    assert unions.cost(5, 0) == 10
     assert decoder.decode_mask(extra, False) == scan_decode(code_6_2_15, extra, False)
-    assert scans == []
     # An empty outcome has C(6, 3) = 20 supersets and the full one 20 subsets.
-    assert unions.cost(0, 3) == unions.cost(6, 0) == 14
     assert decoder.decode_mask(0, False) == scan_decode(code_6_2_15, 0, False)
     assert decoder.decode_mask(0b111111, False) == scan_decode(code_6_2_15, 0b111111, False)
-    assert len(scans) == 2
+    assert unions._columns is None
+    for pmask in (dropped, extra, 0, 0b111111):
+        for outside in range(7):
+            assert unions.near(pmask, outside) == scan_near(unions, pmask, outside)
+
+
+@pytest.fixture(scope="module")
+def rcbba_10_3_60() -> GrayCode:
+    return rcbba(10, 3, 60, seed=0)
+
+
+def test_lookup_builds_columns_once_they_would_have_paid(rcbba_10_3_60):
+    decoder = PoolDecoder(rcbba_10_3_60)
+    unions = decoder.union_lookup
+    dropouts = [u & (u - 1) for u in unions.masks]
+    # One decode of a dropout enumerates C(7, 1) = 7 supersets: no columns.
+    decoder.decode_mask(dropouts[0])
+    assert unions._columns is None
+    assert decoder.addr_lookup._columns is None
+    # Counting every dropout would save more than one build costs.
+    found = [unions.find(p, 1) for p in dropouts]
+    assert unions._columns is not None
+    assert type(found[0]) is list and type(found[-1]) is int
+    for p, answer in zip(dropouts, found):
+        expected = scan_near(unions, p, 1)
+        assert answer == (expected if type(answer) is list else sum(1 << j for j in expected))
+        assert unions.near(p, 1) == expected
+
+
+def widened(code: GrayCode, width: int, pools: list[int]) -> GrayCode:
+    """The code with pool i moved to ``pools[i]``, over ``width`` pools; a
+    relabelled valid code is valid."""
+    return GrayCode(
+        width, code.r, [sum(1 << pools[i] for i in _set_bits(x)) for x in code.masks]
+    )
+
+
+@st.composite
+def narrow_and_wide_codes(draw):
+    """Small valid codes, half of them spread over 65..200 pools."""
+    code = draw(small_valid_codes())
+    if draw(st.booleans()):
+        width = draw(st.integers(65, 200))
+        pools = draw(st.permutations(range(width)))[: code.m]
+        code = widened(code, width, pools)
+    return code
+
+
+@settings(max_examples=300, deadline=None)
+@given(narrow_and_wide_codes(), st.data())
+def test_columns_enumeration_and_scan_agree(code, data):
+    decoder = PoolDecoder(code)
+    m = code.m
+    for lookup in (decoder.union_lookup, decoder.addr_lookup):
+        # Near a mask of the code, with flips that may light pools above m.
+        base = data.draw(st.sampled_from([0, *lookup.masks]), label="base")
+        flips = data.draw(st.sets(st.integers(0, m + 1), max_size=4), label="flips")
+        pmask = base ^ sum(1 << f for f in flips)
+        low = pmask & ((1 << m) - 1)
+        k = low.bit_count()
+        for outside in range(m + 1):
+            expected = scan_near(lookup, pmask, outside)
+            bits = sum(1 << j for j in expected)
+            assert lookup.near(pmask, outside) == expected
+            found = lookup.find(pmask, outside)
+            assert found == (expected if type(found) is list else bits)
+            assert lookup._count(low, outside, True) == bits
+            assert lookup._count(low, outside, False) == bits
+            counts = lookup._plans[k, outside][0]
+            lookups = sum(comb(k, lookup.w - t) * comb(m - k, t) for t in counts)
+            if lookups <= 5000:
+                assert lookup._enumerate(low, ((1 << m) - 1) ^ low, counts) == expected
+
+
+def test_decoder_on_one_address_of_every_pool():
+    # r = m: a union would have weight m+1 > m, so the union lookup is empty.
+    decoder = PoolDecoder(GrayCode(3, 3, [0b111]))
+    assert decoder.decode_mask(0b111).status == "exact-single"
+    result = decoder.decode_mask(0b011)
+    assert (result.status, result.candidate_items) == ("error-false-negative", (1,))
+
+
+def test_bit_sums_match_combinations():
+    for size in range(9):
+        bits = [1 << p for p in sorted(random.Random(size).sample(range(40), size))]
+        for t in range(size + 1):
+            expected = sorted(sum(c) for c in combinations(bits, t))
+            assert sorted(_bit_sums(bits, t)) == expected
 
 
 def test_decoder_memory_does_not_grow_with_m():
