@@ -6,11 +6,11 @@ address the path steps to one of its unused unions, and from a union to one
 of its unused weight-r subsets. ``_path_search`` is the one depth-first
 walk over that graph. It keeps the path, the set of addresses and unions
 the path uses, and, for the searches whose hooks read it, the path's
-per-pool occupancy. It charges every address it enters to a
-``SearchBudget`` and takes two hooks: the candidate order at the tip and a
-goal test. An order that yields nothing ends the branch, so a bound is part
-of the order. bba runs it, and so do both exhaustive oracles in
-``graypool.oracle``.
+per-pool occupancy, which it returns with the path. It charges every
+address it enters to a ``SearchBudget`` and takes two hooks: the candidate
+order at the tip and a goal test. An order that yields nothing ends the
+branch, so a bound is part of the order. bba runs it, and so do both
+exhaustive oracles in ``graypool.oracle``.
 
 bba orders candidates to keep pool usage level. From an address ``a`` the
 union ``a | {z}`` is ranked by ``w[z] - target[z]`` ascending, and from a
@@ -96,7 +96,7 @@ def _path_search(
     order: Callable[[list[int], set[int], list[int] | None], Iterable[int]],
     goal: Callable[[list[int], list[int] | None], bool],
     occupancy: bool = True,
-) -> list[int] | None:
+) -> tuple[list[int], list[int] | None] | None:
     """Depth-first search over the address paths that begin at ``start``.
 
     ``order(path, used, w)`` yields the addresses ``b`` to try after the
@@ -110,8 +110,9 @@ def _path_search(
     included, is charged to ``budget`` before ``goal(path, w)`` is asked; a
     true goal ends the search and returns the path. Otherwise the path is
     extended by what ``order`` yields, and an order that yields nothing ends
-    the branch: that is how a search bounds its paths. Returns None once
-    every path from ``start`` is exhausted. ``order`` may return a lazy
+    the branch: that is how a search bounds its paths. Returns the path and
+    its occupancy ``w`` (None without ``occupancy``), or None once every
+    path from ``start`` is exhausted. ``order`` may return a lazy
     iterator and charge visits of its own: bba's charges each union when the
     iterator reaches it.
     """
@@ -145,7 +146,7 @@ def _path_search(
             for i in _set_bits(b):
                 w[i] += 1
         if goal(path, w):
-            return path
+            return path, w
         frames.append(iter(order(path, used, w)))
     return None
 
@@ -201,7 +202,7 @@ def _construct_masks(
     target: Sequence[int],
     rng: random.Random,
     budget: SearchBudget,
-) -> list[int]:
+) -> tuple[list[int], list[int]]:
     """Run the balance-guided path search from one start address.
 
     The start is ``first_mask`` when pinned and otherwise a uniform draw
@@ -209,7 +210,8 @@ def _construct_masks(
     every start: relabelling the pools carries any weight-r address onto
     any other and keeps codes valid, so a length-n code exists from one
     start exactly when it exists from all. An exhausted search therefore
-    proves that no code exists.
+    proves that no code exists. Returns the code's masks and its per-pool
+    occupancy counts.
     """
     if first_mask is None:
         first_mask = sum(1 << p for p in rng.sample(range(m), r))
@@ -249,7 +251,7 @@ def bba(
             raise ValueError(f"first address must have weight {r}")
     rng = random.Random(seed)
     state = SearchBudget(budget, time_limit)
-    masks = _construct_masks(m, r, n, first_address, balance_target(m, r, n), rng, state)
+    masks, _ = _construct_masks(m, r, n, first_address, balance_target(m, r, n), rng, state)
     code = GrayCode(m, r, masks)
     report = validate(code)
     if not report.is_valid:

@@ -43,10 +43,13 @@ def _parse_indices(text: str) -> list[int]:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
 
 
-def _write_manifest(out_path: Path, subcommand: str, params: dict, started: float) -> None:
+def _write_manifest(out_path: Path, args: argparse.Namespace, started: float) -> None:
+    """Write ``<out_path>.manifest.json``: the subcommand's parsed arguments,
+    all but ``--out``, and the output's digest."""
     digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "parameters": params,
         "seed": params.get("seed"),
         "budget": params.get("budget"),
@@ -60,13 +63,13 @@ def _write_manifest(out_path: Path, subcommand: str, params: dict, started: floa
     )
 
 
-def _emit_code(code, out, subcommand, params, started, extra=None):
-    if out is None:
+def _emit_code(code, args, started, extra=None):
+    if args.out is None:
         print(code_to_json(code, extra), end="")
         return
-    out_path = Path(out)
+    out_path = Path(args.out)
     save_code(code, out_path, extra=extra)
-    _write_manifest(out_path, subcommand, params, started)
+    _write_manifest(out_path, args, started)
 
 
 def cmd_bound(args) -> int:
@@ -78,38 +81,26 @@ def cmd_bound(args) -> int:
     return 0
 
 
-# The optional construct options each algorithm uses; any other is an error.
+# The optional construct options each algorithm uses, by parsed name; bba
+# uses them all, and giving any other is an error.
 _TAKES = {
-    "bba": ("--n", "--first-address", "--budget", "--time-limit"),
-    "rcbba": ("--n", "--budget", "--time-limit"),
+    "bba": ("n", "first_address", "budget", "time_limit"),
+    "rcbba": ("n", "budget", "time_limit"),
     "maximal": (),
 }
 
 
 def cmd_construct(args) -> int:
     started = time.monotonic()
-    budget = args.budget
-    if budget is None and args.alg != "maximal":
-        budget = DEFAULT_BUDGET
-    params = {
-        "alg": args.alg,
-        "m": args.m,
-        "r": args.r,
-        "n": args.n,
-        "first_address": args.first_address,
-        "seed": args.seed,
-        "budget": budget,
-        "time_limit": args.time_limit,
-    }
-    given = {
-        "--n": args.n,
-        "--first-address": args.first_address,
-        "--budget": args.budget,
-        "--time-limit": args.time_limit,
-    }
-    ignored = [f for f, value in given.items() if value is not None and f not in _TAKES[args.alg]]
+    ignored = [
+        "--" + dest.replace("_", "-")
+        for dest in _TAKES["bba"]
+        if getattr(args, dest) is not None and dest not in _TAKES[args.alg]
+    ]
     if ignored:
         raise ValueError(f"--alg {args.alg} does not take {', '.join(ignored)}")
+    if args.budget is None and args.alg != "maximal":
+        args.budget = DEFAULT_BUDGET
     extra = None
     if args.alg == "maximal":
         code = build_maximal(args.m, args.r, seed=args.seed)
@@ -126,7 +117,7 @@ def cmd_construct(args) -> int:
                 args.n,
                 first,
                 seed=args.seed,
-                budget=budget,
+                budget=args.budget,
                 time_limit=args.time_limit,
             )
         else:
@@ -135,11 +126,11 @@ def cmd_construct(args) -> int:
                 args.r,
                 args.n,
                 seed=args.seed,
-                budget=budget,
+                budget=args.budget,
                 time_limit=args.time_limit,
             )
             extra = {"provenance": trace.to_json_dict()}
-    _emit_code(code, args.out, "construct", params, started, extra)
+    _emit_code(code, args, started, extra)
     return 0
 
 
@@ -175,15 +166,7 @@ def cmd_simulate(args) -> int:
         return 0
     out_path = Path(args.out)
     out_path.write_text(text)
-    params = {
-        "code": args.code,
-        "max_errors": args.max_errors,
-        "mode": args.mode,
-        "samples": args.samples,
-        "seed": args.seed,
-        "error_type": args.error_type,
-    }
-    _write_manifest(out_path, "simulate", params, started)
+    _write_manifest(out_path, args, started)
     return 0
 
 

@@ -33,7 +33,7 @@ from .bba import (
     _construct_masks,
     balance_target,
 )
-from .codes import GrayCode, balance_of, length_bound, _check_pool_count, _set_bits
+from .codes import GrayCode, length_bound, _check_pool_count, _set_bits
 from .errors import (
     ClosingUnionNotFoundError,
     CombinePreconditionError,
@@ -163,6 +163,9 @@ class CombinationTrace:
 class _RecursiveCombiner:
     """Backtracking driver for the iterative combination construction.
 
+    For r = 1, for m <= 2r and for n*r < m there are no iterative blocks:
+    the closing search starts at width m and builds the whole code.
+
     Pools are 0-based bit positions throughout; only ``trace`` reports them 1-based.
     """
 
@@ -170,10 +173,10 @@ class _RecursiveCombiner:
         self.m = m
         self.r = r
         self.n = n
-        self.final_width = 2 * r
+        self.final_width = m if r == 1 or m <= 2 * r or w_ini[m - 1] == 0 else 2 * r
         self.rng = rng
         self.budget = budget
-        self.columns: list[int] = []
+        self.masks: list[int] = []
         self.union_set: set[int] = set()
         self.w_res = list(w_ini)
         self.active = (1 << m) - 1  # the pools no placed block has consumed
@@ -194,14 +197,14 @@ class _RecursiveCombiner:
         while True:
             if width == self.final_width:
                 if self._final(width, join_mask):
-                    return self.columns
+                    return self.masks
             else:
                 placed = self._place_block(width, join_mask, comp_len)
                 if placed is not None:
                     # A block that lands exactly on the target length finishes
                     # the build without a closing regime.
-                    if len(self.columns) == self.n:
-                        return self.columns
+                    if len(self.masks) == self.n:
+                        return self.masks
                     stack.append((placed, iter(self._join_candidates(width - 1))))
             while stack:
                 step = next(stack[-1][1], None)
@@ -229,10 +232,12 @@ class _RecursiveCombiner:
         """Search and append the block for the iteration with ``width`` active
         pools; returns what ``_remove_block`` needs, or None when no block exists.
 
-        The first block has no joining address and keeps its own labels.
+        The first block has no joining address and keeps its own labels. The
+        block's occupancy, the all-one row's ``comp_len`` included, is charged
+        to the residuals through its pool table.
         """
         try:
-            elem = _construct_masks(
+            elem, counts = _construct_masks(
                 width - 1,
                 self.r - 1,
                 comp_len,
@@ -247,41 +252,46 @@ class _RecursiveCombiner:
         first = elem[0] | ones
         table = _pool_table(first, first if join_mask is None else join_mask, self.active, self.m)
         placed = [_remap_mask(bits | ones, table) for bits in elem]
-        added = self._push_columns(placed)
-        self._occupy(placed, -1)
+        added = self._push_masks(placed)
+        charged = list(zip(table, [*counts, comp_len]))
+        for pool, count in charged:
+            self.w_res[pool] -= count
         # The all-one row is the block's top row; its pool has met its target.
         self.active ^= 1 << table[width - 1]
         self.consumed.append(table[width - 1])
         self.lengths.append(comp_len)
-        return placed, added
+        return added, charged
 
-    def _remove_block(self, placed: list[int], added: list[int]) -> None:
-        self.lengths.pop()
+    def _remove_block(self, added: list[int], charged: list[tuple[int, int]]) -> None:
+        del self.masks[len(self.masks) - self.lengths.pop():]
         self.active |= 1 << self.consumed.pop()
-        self._occupy(placed, 1)
-        del self.columns[len(self.columns) - len(placed):]
+        for pool, count in charged:
+            self.w_res[pool] += count
         self.union_set.difference_update(added)
 
-    def _final(self, width: int, join_mask: int) -> bool:
+    def _final(self, width: int, join_mask: int | None) -> bool:
         """Closing regime: one balance-targeted search over the remaining pools.
 
-        At least one address is still needed: ``run`` stops once the columns
+        At least one address is still needed: ``run`` stops once the masks
         reach n, and every iterative block fits in the remaining length.
+        With no joining address the closing block keeps its own labels.
         """
-        need = self.n - len(self.columns)
+        need = self.n - len(self.masks)
         if need > length_bound(width, self.r):
             return False
         start = sum(1 << p for p in self.rng.sample(range(width), self.r))
-        table = _pool_table(start, join_mask, self.active, self.m)
+        table = _pool_table(start, start if join_mask is None else join_mask, self.active, self.m)
         target = tuple(self.w_res[table[i]] for i in range(width))
         try:
-            elem = _construct_masks(width, self.r, need, start, target, self.rng, self.budget)
+            elem, counts = _construct_masks(
+                width, self.r, need, start, target, self.rng, self.budget
+            )
         except InfeasibleError:
             return False
-        self._push_columns([_remap_mask(bits, table) for bits in elem])
+        self._push_masks([_remap_mask(bits, table) for bits in elem])
         self.lengths.append(need)
         self.final_target = target
-        self.final_balance = balance_of(GrayCode(width, self.r, elem)).counts
+        self.final_balance = tuple(counts)
         return True
 
     # -- joining addresses ----------------------------------------------------
@@ -297,10 +307,10 @@ class _RecursiveCombiner:
         by the residual occupancy of their largest pool, descending, with
         index-order tie-breaks; that residual is the next block's length.
         """
-        last = self.columns[-1]
+        last = self.masks[-1]
         core = last & ~(1 << self.consumed[-1])
         # An iterative block must fit the remaining length and its own bound.
-        cap = min(self.n - len(self.columns), length_bound(width - 1, self.r - 1))
+        cap = min(self.n - len(self.masks), length_bound(width - 1, self.r - 1))
         out = []
         for z in _set_bits(self.active & ~last):
             candidate = core | 1 << z
@@ -313,23 +323,17 @@ class _RecursiveCombiner:
         out.sort(key=lambda t: -t[1])
         return out
 
-    # -- column bookkeeping ----------------------------------------------------
+    # -- mask bookkeeping ------------------------------------------------------
 
-    def _push_columns(self, placed: list[int]) -> list[int]:
-        joined = self.columns[-1:] + placed
+    def _push_masks(self, placed: list[int]) -> list[int]:
+        joined = self.masks[-1:] + placed
         added = [a | b for a, b in zip(joined, joined[1:])]
         for u in added:
             if u in self.union_set:
                 raise RuntimeError("internal error: duplicate union while combining")
             self.union_set.add(u)
-        self.columns.extend(placed)
+        self.masks.extend(placed)
         return added
-
-    def _occupy(self, placed: list[int], step: int) -> None:
-        """Add ``step`` to the residual occupancy of every pool ``placed`` uses."""
-        for bits in placed:
-            for i in _set_bits(bits):
-                self.w_res[i] += step
 
 
 def _pool_table(src: int, dst: int, active: int, m: int) -> list[int]:
@@ -365,35 +369,23 @@ def rcbba_detailed(
     Iteration j runs from m downward: each step builds a (j-1, r-1) block
     whose length is the residual occupancy of one pool, augments it with one
     all-one row and m-j all-zero rows, and permutes it so the all-one row
-    fills exactly that pool. At j = 2r the remaining length is built by a
-    single balance-targeted search and the occupancy residuals become its
-    per-pool target. Dead ends backtrack over the candidate joining
-    addresses; the node budget is shared by every embedded search.
+    fills exactly that pool. At the closing width the remaining length is
+    built by a single balance-targeted search and the occupancy residuals
+    become its per-pool target. Dead ends backtrack over the candidate
+    joining addresses; the node budget is shared by every embedded search.
 
-    For r = 1, for m <= 2r, and for n*r < m the iterative regime degenerates
-    and the whole code is built by one balance-targeted search.
+    The closing width is 2r, or m for r = 1, for m <= 2r and for n*r < m:
+    those requests have no iterative block, and the closing search builds
+    the whole code towards the ``balance_target`` of (m, r, n).
     """
     _check_request(m, r, n)
-    rng = random.Random(seed)
     state = SearchBudget(budget, time_limit)
-    w_ini = balance_target(m, r, n)
-
-    if m <= 2 * r or r == 1 or w_ini[m - 1] == 0:
-        masks = _construct_masks(m, r, n, None, w_ini, rng, state)
-        code = GrayCode(m, r, masks)
-        trace = CombinationTrace(
-            (n,), (), tuple(w_ini), balance_of(code).counts
-        )
-    else:
-        builder = _RecursiveCombiner(m, r, n, w_ini, rng, state)
-        masks = builder.run()
-        code = GrayCode(m, r, masks)
-        trace = builder.trace()
-
+    builder = _RecursiveCombiner(m, r, n, balance_target(m, r, n), random.Random(seed), state)
+    code = GrayCode(m, r, builder.run())
     report = validate(code)
     if not report.is_valid or code.n != n:
         raise RuntimeError("internal error: combined code fails validation")
-    return code, trace
+    return code, builder.trace()
 
 
 def rcbba(

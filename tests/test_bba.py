@@ -221,7 +221,8 @@ def test_single_start_matches_the_every_start_reference(data):
         return outcome, budget.spent
 
     (single, single_spent), (every, every_spent) = run(_construct_masks), run(_every_start_masks)
-    if isinstance(single, list) or isinstance(every, list):
+    # A found code comes as its masks and counts; a failure as its error type.
+    if isinstance(single, tuple) or isinstance(every, tuple):
         assert (single, single_spent) == (every, every_spent)
     elif every is InfeasibleError:
         assert single is InfeasibleError and single_spent <= every_spent
@@ -331,8 +332,29 @@ def test_full_enumeration_codes_reach_perfect_balance():
 def test_respects_supplied_target():
     # rcbba's closing search hands the kernel a non-uniform target.
     target = (6, 6, 6, 6, 3, 3)
-    masks = _construct_masks(6, 2, 15, None, target, random.Random(0), SearchBudget(10**6))
+    masks, _ = _construct_masks(6, 2, 15, None, target, random.Random(0), SearchBudget(10**6))
     assert validate(GrayCode(6, 2, masks)).is_valid
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_search_counts_are_the_occupancy_of_its_code(data):
+    # rcbba charges its residuals and reports its closing balance from these
+    # counts, so they must equal a recount of the masks returned with them.
+    m = data.draw(st.integers(min_value=2, max_value=8))
+    r = data.draw(st.integers(min_value=1, max_value=m - 1))
+    n = data.draw(st.integers(1, length_bound(m, r)))
+    target = data.draw(
+        st.just(balance_target(m, r, n))
+        | st.lists(st.integers(0, 2 * n), min_size=m, max_size=m)
+    )
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    try:
+        masks, counts = _construct_masks(m, r, n, None, target, rng, SearchBudget(3000))
+    except BudgetExhaustedError:
+        return
+    assert len(masks) == n
+    assert tuple(counts) == balance_of(GrayCode(m, r, masks)).counts
 
 
 @pytest.mark.parametrize("m,r,n", [(10, 4, 150), (12, 3, 150), (14, 4, 350)])

@@ -43,13 +43,22 @@ def test_bound_prints_more_digits_than_int_to_str_allows(capsys):
     assert len(out) == 6020
 
 
-def test_module_entry_point_runs_the_cli():
+def _run_module(*argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``python -m graypool`` in a subprocess."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
-        [sys.executable, "-m", "graypool", "bound", "--m", "5", "--r", "2"],
+        [sys.executable, "-m", "graypool", *argv],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "10\n", "")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point_runs_the_cli():
+    assert _run_module("bound", "--m", "5", "--r", "2") == (0, "10\n", "")
+
+
+def test_module_entry_point_prints_the_version():
+    assert _run_module("--version") == (0, "graypool 0.1.0\n", "")
 
 
 def test_construct_validate_pipeline(tmp_path, capsys):
@@ -79,6 +88,53 @@ def test_construct_writes_manifest(tmp_path):
     code = load_code(out)
     assert validate(code).is_valid
     assert code.masks[0] == mask_from_indices((2, 3), 5)
+
+
+@pytest.mark.parametrize(
+    "argv,out,parameters",
+    [
+        (
+            ["construct", "--alg", "bba", "--m", "5", "--r", "2", "--n", "10",
+             "--first-address", "2,3"],
+            "bba.json",
+            {"alg": "bba", "m": 5, "r": 2, "n": 10, "first_address": "2,3", "seed": 0,
+             "budget": 1000000, "time_limit": None},
+        ),
+        (
+            ["construct", "--alg", "rcbba", "--m", "8", "--r", "3", "--n", "30",
+             "--time-limit", "30"],
+            "rcbba.csv",
+            {"alg": "rcbba", "m": 8, "r": 3, "n": 30, "first_address": None, "seed": 0,
+             "budget": 1000000, "time_limit": 30.0},
+        ),
+        (
+            ["construct", "--alg", "maximal", "--m", "6", "--r", "2"],
+            "maximal.json",
+            {"alg": "maximal", "m": 6, "r": 2, "n": None, "first_address": None, "seed": 0,
+             "budget": None, "time_limit": None},
+        ),
+        (
+            ["simulate", "--code", "{code}", "--max-errors", "2"],
+            "sweep.csv",
+            {"code": "{code}", "max_errors": 2, "mode": "auto", "samples": 10000, "seed": 0,
+             "error_type": "false-negative"},
+        ),
+    ],
+    ids=["bba", "rcbba", "maximal", "simulate"],
+)
+def test_manifest_records_every_parsed_argument_but_out(tmp_path, argv, out, parameters):
+    # The parameters are the parsed arguments in parser order, with the
+    # budget default filled in for the searches; the key order is pinned too.
+    code_path = str(tmp_path / "code.json")
+    save_code(build_maximal(6, 2), code_path)
+    out_path = tmp_path / out
+    argv = [code_path if a == "{code}" else a for a in argv]
+    assert main([*argv, "--out", str(out_path)]) == 0
+    manifest = json.loads(Path(f"{out_path}.manifest.json").read_text())
+    expected = {k: code_path if v == "{code}" else v for k, v in parameters.items()}
+    assert list(manifest["parameters"].items()) == list(expected.items())
+    assert manifest["subcommand"] == argv[0]
+    assert (manifest["seed"], manifest["budget"]) == (0, parameters.get("budget"))
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -288,15 +344,39 @@ def test_construct_reports_a_passed_deadline_in_one_line(capsys):
             f"pool count {sys.maxsize + 1} exceeds {sys.maxsize}",
             id="m-above-maxsize",
         ),
+        pytest.param(
+            '{"m": 0, "r": 0, "addresses": []}',
+            "graypool: error: pool count must be at least 1, got 0\n",
+            id="m-zero",
+        ),
     ],
 )
 def test_malformed_json_code_exits_3(tmp_path, capsys, text, message):
     path = tmp_path / "code.json"
     path.write_text(text)
     assert main(["validate", str(path)]) == 3
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.count("\n") == 1 and message in err
     assert "Traceback" not in err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,status,err",
+    [
+        (["decode", "--code", "{code}", "--positives", "1,x"], 3,
+         "graypool: error: expected comma-separated integers, got '1,x'\n"),
+        (["oracle", "balance", "--m", "7", "--r", "2", "--n", "18", "--node-limit", "10"], 2,
+         "graypool: node limit 10 reached before the enumeration finished\n"),
+    ],
+    ids=["decode-bad-positives", "oracle-balance-node-limit"],
+)
+def test_failing_runs_print_one_line_and_nothing_on_stdout(tmp_path, argv, status, err):
+    code_path = str(tmp_path / "code.json")
+    save_code(build_maximal(5, 2), code_path)
+    argv = [code_path if a == "{code}" else a for a in argv]
+    assert _run(argv) == (status, "", err)
 
 
 @pytest.mark.parametrize(

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graypool import (
+    CombinationTrace,
     CombinePreconditionError,
     ConstructionError,
     GrayCode,
     InfeasibleError,
     apply_row_permutation,
     balance_of,
+    balance_target,
     bba,
     build_maximal,
     combine_pair,
@@ -21,8 +23,10 @@ from graypool import (
     rcbba_detailed,
     validate,
 )
+from graypool.bba import SearchBudget, _construct_masks
 from graypool.codes import _set_bits, mask_from_indices
 from graypool.recombine import (
+    _RecursiveCombiner,
     _fresh_superset,
     _maximal_base,
     _maximal_with_closing,
@@ -172,6 +176,61 @@ def test_rcbba_degenerate_regimes():
     assert validate(tiny).is_valid and tiny.n == 3
 
 
+def _one_search(m, r, n, seed, budget):
+    """A code built by one balance-targeted search towards ``balance_target``,
+    traced as a single closing block, or the error that ends the search."""
+    target = balance_target(m, r, n)
+    try:
+        masks, _ = _construct_masks(
+            m, r, n, None, target, random.Random(seed), SearchBudget(budget)
+        )
+    except ConstructionError as exc:
+        return type(exc), str(exc)
+    code = GrayCode(m, r, masks)
+    return code, CombinationTrace((n,), (), target, balance_of(code).counts)
+
+
+_DEGENERATE = [
+    (m, r, n)
+    for m in range(2, 9)
+    for r in range(1, m)
+    for n in sorted({1, 2, length_bound(m, r) // 2, length_bound(m, r)} - {0})
+    if r == 1 or m <= 2 * r or n * r < m
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rcbba_builds_degenerate_requests_by_one_search(seed):
+    # r = 1, m <= 2r and n*r < m leave no iterative block: the combiner's
+    # closing search spans all m pools and must draw, search and trace
+    # exactly as one search over the whole request would.
+    budget = 2 * 10**4
+    for m, r, n in _DEGENERATE:
+        try:
+            outcome = rcbba_detailed(m, r, n, seed=seed, budget=budget)
+        except ConstructionError as exc:
+            outcome = type(exc), str(exc)
+        assert outcome == _one_search(m, r, n, seed, budget), (m, r, n)
+
+
+@pytest.mark.parametrize(
+    "m,r,n,seed",
+    # (9, 3, 70) and (10, 3, 100) backtrack over placed blocks with these
+    # seeds, (14, 3, 150) closes without a closing block, (7, 1, 6) places none.
+    [(9, 3, 70, 4), (10, 3, 100, 10), (12, 4, 350, 0), (14, 3, 150, 4), (7, 1, 6, 1)],
+)
+def test_combiner_residuals_are_the_target_less_the_placed_blocks(m, r, n, seed):
+    # Each placed block is charged to the residuals through its pool table,
+    # all-one row included, and refunded when it is taken off again; the
+    # closing block is not charged. So a consumed pool ends at zero.
+    target = balance_target(m, r, n)
+    builder = _RecursiveCombiner(m, r, n, target, random.Random(seed), SearchBudget(10**5))
+    masks = builder.run()
+    placed = GrayCode(m, r, masks[: sum(builder.lengths[: len(builder.consumed)])])
+    assert builder.w_res == [t - c for t, c in zip(target, balance_of(placed).counts)]
+    assert all(builder.w_res[pool] == 0 for pool in builder.consumed)
+
+
 def test_rcbba_is_deterministic():
     a = rcbba(12, 4, 150, seed=11)
     b = rcbba(12, 4, 150, seed=11)
@@ -302,6 +361,10 @@ def test_pool_table_relabels_a_block_onto_the_active_pools(data):
 # broken, and validate rejects them. The package exports a function named
 # bba, so the module is looked up by name.
 _REPEATED = [0b0011, 0b0110, 0b0011]
+# A (4, 2) search result that validate rejects (its second address has weight
+# 3) but whose unions do not repeat, so the combiner's closing search appends
+# it before validation, with made-up occupancy counts.
+_OVERWEIGHT = ([0b0011, 0b0111], [2, 2, 1, 0])
 _BBA = importlib.import_module("graypool.bba")
 _RECOMBINE = importlib.import_module("graypool.recombine")
 
@@ -309,8 +372,8 @@ _RECOMBINE = importlib.import_module("graypool.recombine")
 @pytest.mark.parametrize(
     "module, name, fake, build",
     [
-        (_BBA, "_construct_masks", lambda *a: _REPEATED, lambda: bba(4, 2, 3)),
-        (_RECOMBINE, "_construct_masks", lambda *a: _REPEATED,
+        (_BBA, "_construct_masks", lambda *a: (_REPEATED, [2, 3, 1, 0]), lambda: bba(4, 2, 3)),
+        (_RECOMBINE, "_construct_masks", lambda *a: _OVERWEIGHT,
          lambda: rcbba_detailed(4, 2, 3)),
         (_RECOMBINE._RecursiveCombiner, "run", lambda self: _REPEATED,
          lambda: rcbba_detailed(6, 2, 12)),
