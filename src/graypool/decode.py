@@ -16,10 +16,13 @@ could be consistent with the observation and looks each one up in the
 decoder's mask tables; its cost depends on m, r and the observation but
 not on the code length n. For k observed pools that is C(m-k, r+1-k) union
 supersets after a false negative and C(k, r+1) union subsets after a false
-positive. The other counts on pool columns, one n-bit int per pool, with a
-few big-int operations whose cost grows with n. A decoder builds its
-columns only once enumerating would have cost it more than the build, so a
-one-shot decode of a long code never builds them.
+positive. The other counts on pool columns, one n-bit int per pool, with
+big-int operations whose cost grows with n: the AND of the observed pools'
+columns after a false negative, the complement of the OR of the other
+columns after a false positive. An outcome that every mask fits, such as
+the empty one, needs neither. A decoder builds its columns only once
+enumerating would have cost it more than the build, so a one-shot decode
+of a long code never builds them.
 
 The decoder takes valid codes only: distinct addresses of weight r whose
 consecutive unions are distinct and of weight r+1. So each lookup
@@ -99,62 +102,20 @@ def _bit_sums(bits: list[int], t: int) -> list[int]:
     return sums
 
 
-def _at_least(columns: list[int], s: int, every: int) -> int:
-    """The masks, as a bitset, that hold at least s of ``columns``.
-
-    s = len is the AND of the columns, s = 1 their OR, and s = len-1 the OR
-    over each column of the ANDs before and after it, each a few C-level
-    loops (see ``_kernel_ops``). Any other s runs a saturating counter:
-    ``held[j]`` has the masks holding at least j of the columns read so
-    far, and a column updates only the counts that can still reach s.
-    """
-    c = len(columns)
-    if s <= 0:
-        return every
-    if s > c:
-        return 0
-    if s == c:
-        return reduce(and_, columns)
-    if s == 1:
-        return reduce(or_, columns)
-    if s == c - 1:
-        before = [every, *accumulate(columns, and_)]
-        after = [*accumulate(reversed(columns), and_)][::-1]
-        return reduce(or_, map(and_, before, after[1:] + [every]))
-    held = [every] + [0] * s
-    for i, column in enumerate(columns):
-        for j in range(min(i + 1, s), max(0, s - c + i), -1):
-            held[j] |= held[j - 1] & column
-    return held[s]
-
-
-def _kernel_ops(c: int, s: int) -> int:
-    """Big-int operations ``_at_least`` takes on c columns, counting one
-    step of its counter, run in Python, as three."""
-    if s <= 0 or s > c:
-        return 0
-    if s == 1 or s == c:
-        return c
-    if s == c - 1:
-        return 4 * c
-    return 3 * s * (c - s + 1)
-
-
-class _Plans(dict[tuple[int, int], tuple[range, float, float, int, bool]]):
+class _Plans(dict[tuple[int, int, int], tuple[range, float, float, bool]]):
     """Query plans for the n masks of weight w over m pools, keyed by
-    (k, outside) for k observed pools.
+    (k, k_in, spare) for k lit pools, k_in of them among the m pools.
 
-    A plan holds the counts t of pools outside the observation that an
-    enumerated mask can have, taking its other w-t pools from it. The
-    column query (``_at_least``) counts on the side with fewer operations:
-    at least w-outside of the k inside columns, or at most ``outside`` of
-    the m-k others. The plan holds that side, its operations, and what the
-    column query saves over enumerating, in lookups, for a bitset answer
-    and for a list of positions. An operation costs about 0.5 lookups plus
-    one per 30,000 masks (n/30 digits of 30 bits). Listing a found position
-    costs about 1 lookup plus one per 10,000 masks, and a lookup finds a
-    mask with probability n/C(m, w). A plan is computed on first use; k and
-    outside run over 0..m, so at most (m+1)^2 are kept.
+    A plan holds the counts t of pools outside the lit ones that a fitting
+    mask can have, taking its other w-t pools from the k_in lit ones; what
+    the column query (``_MaskLookup._count``) saves over enumerating, in
+    lookups, for a bitset answer and for a list of positions; and whether
+    every mask fits, which takes no column operation. With k <= w the column
+    query takes k operations, or 4k with a spare pool; with k > w it takes
+    m-k_in. An operation costs about 0.5 lookups plus one per 30,000 masks
+    (n/30 digits of 30 bits). Listing a found position costs about 1 lookup
+    plus one per 10,000 masks, and a lookup finds a mask with probability
+    n/C(m, w). A plan is computed on first use.
     """
 
     def __init__(self, m: int, w: int, n: int):
@@ -163,34 +124,34 @@ class _Plans(dict[tuple[int, int], tuple[range, float, float, int, bool]]):
         self.w = w
         self.n = n
 
-    def __missing__(self, key: tuple[int, int]) -> tuple[range, float, float, int, bool]:
-        k, outside = key
+    def __missing__(self, key: tuple[int, int, int]) -> tuple[range, float, float, bool]:
+        k, k_in, spare = key
         m, w, n = self.m, self.w, self.n
-        counts = range(max(0, w - k), min(outside, m - k, w) + 1)
-        lookups = sum([comb(k, w - t) * comb(m - k, t) for t in counts])
-        inside = _kernel_ops(k, w - outside)
-        others = _kernel_ops(m - k, outside + 1)
-        ops = min(inside, others)
+        counts = range(max(0, w - k_in), min(max(0, w - k) + spare, m - k_in, w) + 1)
+        lookups = sum([comb(k_in, w - t) * comb(m - k_in, t) for t in counts])
+        if k > w:
+            ops = m - k_in
+        elif spare:
+            ops = 4 * k if k > 1 else 0
+        else:
+            ops = k
         saving = lookups - ops * (0.5 + n / 30000)
         listing = lookups * n / comb(m, w) * (1 + n / 10000) if n else 0
-        plan = self[key] = counts, saving, saving - listing, ops, inside <= others
+        plan = self[key] = counts, saving, saving - listing, not ops
         return plan
 
 
 class _MaskLookup:
-    """Finds the masks of one list, all of weight w, that lie near an
+    """Finds the masks of one list, all of weight w, that fit an
     observation.
 
     Holds the decoder's mask list and its mask -> position index, not copies
     of them, and the query plans (``_Plans``). A query answers in one of two
-    ways. It can build every mask of weight w that could qualify, from the
-    observed pools and, only when a mask may take pools outside them, from
-    the other pools too, and look each one up in the index. Or it can count
-    on the pool columns: for each pool some mask holds, an int whose bit j
-    says that the mask at position j holds it. A mask of weight w has at
-    most ``outside`` pools outside the observation exactly when it holds at
-    least w-outside of the observed pools, so a few big-int operations on
-    those columns answer every query (``_at_least``).
+    ways. It can build every mask of weight w that could fit, from the lit
+    pools and, only when a mask may take pools outside them, from the other
+    pools too, and look each one up in the index. Or it can count on the
+    pool columns: for each pool some mask holds, an int whose bit j says
+    that the mask at position j holds it (``_count``).
 
     Each query takes the way its plan says is cheaper. The columns are
     built on first need and only then (rent or buy): the lookup adds up
@@ -215,37 +176,36 @@ class _MaskLookup:
         self._held = 0  # the pools that some mask holds, once the columns are built
         self._columns: dict[int, int] | None = None
 
-    def near(self, pmask: int, outside: int) -> list[int]:
-        """Ascending 1-based positions of the masks with at most ``outside``
-        pools outside ``pmask``.
+    def near(self, pmask: int) -> list[int]:
+        """Ascending 1-based positions of the masks that fit ``pmask``.
 
-        This one query answers both error types. A mask of weight w is
-        consistent with k observed pools exactly when at most max(0, w-k) of
-        its pools lie outside them: for k <= w the mask then contains the
-        observation (dropouts), for k >= w it lies inside it (extra pools).
-        A lit pool above m leaves fewer than k pools to match, so such an
-        observation finds nothing, and no mask or column holds its bit."""
-        found = self.find(pmask, outside, True)
+        This one query answers both error types. A mask of weight w fits k
+        lit pools exactly when at most max(0, w-k) of its pools lie outside
+        them: for k <= w the mask then contains the observation (dropouts),
+        for k >= w it lies inside it (extra pools). No mask holds a lit
+        pool above m."""
+        found = self.find(pmask, 0, True)
         return found if type(found) is list else list(_set_bits(found))
 
-    def find(self, pmask: int, outside: int, listed: bool = False) -> list[int] | int:
-        """The answer of ``near`` as found: the ascending positions (a list)
+    def find(self, pmask: int, spare: int = 0, listed: bool = False) -> list[int] | int:
+        """The masks with at most max(0, w-k) + ``spare`` pools outside the
+        k lit pools of ``pmask``, as found: the ascending positions (a list)
         when enumerating costs less, or else the column bitset (an int, bit
-        j for position j). ``listed`` prices the listing of a bitset's
-        positions in, for a caller that needs them; a caller that counts
-        takes either form as it comes."""
+        j for position j). ``spare`` is 0, as in ``near``, or 1 when k <= w,
+        for the sweep's dropout count. ``listed`` prices the listing of a
+        bitset's positions in, for a caller that needs them."""
         full = (1 << self.m) - 1
         low = pmask & full
-        counts, for_bits, for_list, ops, inside = self._plans[low.bit_count(), outside]
+        counts, for_bits, for_list, every = self._plans[pmask.bit_count(), low.bit_count(), spare]
+        if every:
+            return self._every  # every mask fits, no column needed
         saving = for_list if listed else for_bits
         if saving > 0:
-            if not ops:
-                return self._every  # every mask qualifies, no column needed
             if self._columns is None:
                 self._rent -= saving
                 if self._rent > 0:
                     return self._enumerate(low, full ^ low, counts)
-            return self._count(low, outside, inside)
+            return self._count(pmask, spare)
         return self._enumerate(low, full ^ low, counts)
 
     def _enumerate(self, low: int, others: int, counts: range) -> list[int]:
@@ -267,18 +227,25 @@ class _MaskLookup:
         found.sort()
         return found
 
-    def _count(self, low: int, outside: int, inside: bool) -> int:
-        """Bitset of the masks with at most ``outside`` pools outside
-        ``low``, counted on the columns of ``low``'s pools or, if not
-        ``inside``, on the others; builds the columns if need be."""
+    def _count(self, pmask: int, spare: int) -> int:
+        """The answer of ``find`` as a column bitset; builds the columns if
+        need be. A lit pool that no mask holds, or that lies above m, reads
+        as an empty column."""
         if self._columns is None:
             self._build()
-        column = self._columns.__getitem__
-        if inside:
-            held = list(map(column, _set_bits(low & self._held)))
-            return _at_least(held, self.w - outside, self._every)
-        others = list(map(column, _set_bits(self._held & ~low)))
-        return self._every & ~_at_least(others, outside + 1, self._every)
+        every = self._every
+        if pmask.bit_count() > self.w:
+            # No pool outside the lit ones: none of the other columns.
+            others = map(self._columns.__getitem__, _set_bits(self._held & ~pmask))
+            return every & ~reduce(or_, others, 0)
+        lit = list(map(self._columns.get, _set_bits(pmask), repeat(0)))
+        if not spare:
+            return reduce(and_, lit, every)
+        # Every lit pool but at most one: the OR, over each lit column, of
+        # the ANDs of the columns before and after it.
+        before = [every, *accumulate(lit, and_)]
+        after = [*accumulate(reversed(lit), and_)][::-1]
+        return reduce(or_, map(and_, before, after[1:] + [every]))
 
     def _build(self) -> None:
         """Transpose the masks into columns at C level, one word of pools
@@ -343,13 +310,13 @@ class PoolDecoder:
             if j is not None:
                 return DecodeResult(EXACT_PAIR, (j, j + 1), None, 0, (j, j + 1), (j,))
 
-        pairs = self.union_lookup.near(pmask, max(0, r + 1 - k))
+        pairs = self.union_lookup.near(pmask)
         items = set()
         for j in pairs:
             items.add(j)
             items.add(j + 1)
         if allow_single:
-            addresses = self.addr_lookup.near(pmask, max(0, r - k))
+            addresses = self.addr_lookup.near(pmask)
             items.update(addresses)
             # With k == r the one address that can match is pmask itself.
             if k == r and addresses:

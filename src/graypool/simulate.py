@@ -29,11 +29,12 @@ and k-subsets; an outcome's count is then k+1 lookups in that table (see
 ``_dropout_count``), which has n*C(r+1, e) entries and is dropped when the
 level ends. Every other trial, sampled or above the ceiling, asks the
 decoder's union lookup for its pairs or its address lookup for its
-dropout count, ``find``, under the same cost rule as
-``PoolDecoder.decode``. The answer comes as enumerated positions or as a
-column bitset, and is counted as it comes: an address count is its length
-or its bit count, and a pair list of length L counts 2L items less one per
-adjacent pair (``_items``), a pair bitset P ``(P | P << 1).bit_count()``.
+dropout count (``find`` with one spare pool), under the same cost rule
+as ``PoolDecoder.decode``. The answer comes as enumerated positions or as
+a column bitset, and is counted as it comes: an address count is its
+length or its bit count, and a pair list of length L counts 2L items less
+one per adjacent pair (``_items``), a pair bitset P
+``(P | P << 1).bit_count()``.
 These shortcuts rely on the code being valid, and the decoder the sweep
 builds rejects any other code.
 """
@@ -178,8 +179,6 @@ def simulate_sweep(
     """
     if code.n < 2:
         raise ValueError("sweep needs a code with at least one consecutive pair")
-    decoder = PoolDecoder(code)
-    unions = decoder.union_masks
     if error_type not in (FALSE_NEGATIVE, FALSE_POSITIVE):
         raise ValueError(f"unknown error type {error_type!r}")
     if max_errors < 0:
@@ -201,6 +200,8 @@ def simulate_sweep(
         mode = "exhaustive" if total <= _AUTO_TRIAL_CEILING else "sampled"
     if mode == "sampled" and samples < 1:
         raise ValueError(f"sampled mode needs at least 1 sample per error level, got {samples}")
+    decoder = PoolDecoder(code)
+    unions = decoder.union_masks
 
     full = (1 << code.m) - 1
 
@@ -219,11 +220,11 @@ def simulate_sweep(
                 yield u ^ sum(rng.sample(flippable(u), e))
 
     def dropout_count(pmask: int) -> int:
-        found = decoder.addr_lookup.find(pmask, code.r + 1 - pmask.bit_count())
+        found = decoder.addr_lookup.find(pmask, 1)
         return len(found) if type(found) is list else found.bit_count()
 
     def pair_count(pmask: int) -> int:
-        pairs = decoder.union_lookup.find(pmask, 0)
+        pairs = decoder.union_lookup.find(pmask)
         # Pair j holds items j and j+1.
         return _items(pairs) if type(pairs) is list else (pairs | pairs << 1).bit_count()
 

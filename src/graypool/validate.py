@@ -9,6 +9,8 @@ Reports are exhaustive: every violation is listed, not just the first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
+from typing import Iterable
 
 from .codes import BalanceVector, GrayCode, balance_of, length_bound
 
@@ -46,18 +48,23 @@ class ValidationReport:
         }
 
 
+def _repeats(masks: Iterable[int], constraint: str) -> list[Violation]:
+    """One violation for each mask seen before, naming the 1-based positions
+    of its first sighting and of the repeat."""
+    first_seen: dict[int, int] = {}
+    violations = []
+    for j, mask in enumerate(masks, start=1):
+        first = first_seen.setdefault(mask, j)
+        if first != j:
+            violations.append(Violation(constraint, (first, j)))
+    return violations
+
+
 def validate(code: GrayCode) -> ValidationReport:
     """Check every code constraint and report all violations found."""
     masks = code.bitmasks()
     n = len(masks)
-    violations: list[Violation] = []
-
-    first_seen: dict[int, int] = {}
-    for j, mask in enumerate(masks, start=1):
-        if mask in first_seen:
-            violations.append(Violation(DISTINCT_ADDRESSES, (first_seen[mask], j)))
-        else:
-            first_seen[mask] = j
+    violations = _repeats(masks, DISTINCT_ADDRESSES)
 
     for j, mask in enumerate(masks, start=1):
         if mask.bit_count() != code.r:
@@ -67,13 +74,7 @@ def validate(code: GrayCode) -> ValidationReport:
         if (masks[j] ^ masks[j + 1]).bit_count() != 2:
             violations.append(Violation(ADJACENT_DISTANCE, (j + 1, j + 2)))
 
-    union_seen: dict[int, int] = {}
-    for j in range(n - 1):
-        union = masks[j] | masks[j + 1]
-        if union in union_seen:
-            violations.append(Violation(DISTINCT_OR_SUMS, (union_seen[union], j + 1)))
-        else:
-            union_seen[union] = j + 1
+    violations += _repeats(map(or_, masks, masks[1:]), DISTINCT_OR_SUMS)
 
     return ValidationReport(
         is_valid=not violations,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graypool import (
+    BalanceVector,
     GrayCode,
     balance_of,
     code_from_json_dict,
@@ -69,6 +70,9 @@ def test_code_holds_masks_and_builds_address_views(code_5_2_10):
         GrayCode(3, 1, (0b1000,))
     with pytest.raises(ValueError, match="out of range"):
         GrayCode(3, 1, (-1,))
+    with pytest.raises(ValueError, match=r"address weight 4 out of range 0\.\.3"):
+        GrayCode(3, 4, ())
+    assert BalanceVector(()).deviation == 0
 
 
 def test_balance_examples(code_5_2_10, code_6_2_15):

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import event, given, settings, strategies as st
 from conftest import INVALID_CODES, small_valid_codes
 from graypool import GrayCode, PoolDecoder, partition_items, rcbba
 from graypool.codes import _set_bits
-from graypool.decode import DecodeResult, _bit_sums
+from graypool.decode import DecodeResult, _bit_sums, _MaskLookup
 
 
 def test_exact_pair(code_5_2_10):
@@ -192,9 +193,17 @@ def scan_decode(code: GrayCode, pmask: int, allow_single: bool) -> DecodeResult:
     )
 
 
-def scan_near(lookup, pmask: int, outside: int) -> list[int]:
-    """Reference for ``_MaskLookup.near``: scans every mask of the lookup."""
+def scan_near(lookup, pmask: int, spare: int = 0) -> list[int]:
+    """Reference for ``_MaskLookup.near`` and ``find``: scans every mask of
+    the lookup for at most max(0, w-k) + spare pools outside the k lit ones."""
+    outside = max(0, lookup.w - pmask.bit_count()) + spare
     return [j for j, x in enumerate(lookup.masks, 1) if (x & ~pmask).bit_count() <= outside]
+
+
+def spares(lookup, pmask: int) -> list[int]:
+    """The spare pool counts ``find`` takes for ``pmask``: 1 only when at
+    most w pools are lit."""
+    return [0, 1] if pmask.bit_count() <= lookup.w else [0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -206,10 +215,12 @@ def test_indexed_decode_matches_scan(code, data):
     for allow_single in (True, False):
         assert decoder.decode_mask(pmask, allow_single) == scan_decode(code, pmask, allow_single)
     for lookup in (decoder.union_lookup, decoder.addr_lookup):
-        for outside in range(code.m + 1):
-            found = lookup.find(pmask, outside)
+        assert lookup.near(pmask) == scan_near(lookup, pmask)
+        for spare in spares(lookup, pmask):
+            expected = scan_near(lookup, pmask, spare)
+            found = lookup.find(pmask, spare)
             event("columns" if type(found) is int else "enumerated")
-            assert lookup.near(pmask, outside) == scan_near(lookup, pmask, outside)
+            assert found == (expected if type(found) is list else sum(1 << j for j in expected))
 
 
 @settings(max_examples=300, deadline=None)
@@ -221,7 +232,7 @@ def test_near_rule_is_superset_after_dropouts_and_subset_after_extra_pools(code,
     k = pmask.bit_count()
     decoder = PoolDecoder(code)
     for lookup in (decoder.union_lookup, decoder.addr_lookup):
-        found = lookup.near(pmask, max(0, lookup.w - k))
+        found = lookup.near(pmask)
         if k <= lookup.w:
             assert found == [j for j, x in enumerate(lookup.masks, 1) if not pmask & ~x]
         if k >= lookup.w:
@@ -256,8 +267,22 @@ def test_lookup_falls_back_to_scan_only_above_n(code_6_2_15):
     assert decoder.decode_mask(0b111111, False) == scan_decode(code_6_2_15, 0b111111, False)
     assert unions._columns is None
     for pmask in (dropped, extra, 0, 0b111111):
-        for outside in range(7):
-            assert unions.near(pmask, outside) == scan_near(unions, pmask, outside)
+        assert unions.near(pmask) == scan_near(unions, pmask)
+
+
+def test_outcomes_that_every_mask_fits_enumerate_nothing(code_5_2_10):
+    # The empty and the full outcome fit all C(5, 2) = 10 addresses. Listing
+    # ten positions is priced above enumerating ten masks, but the every-mask
+    # answer needs neither a lookup nor a column.
+    decoder = PoolDecoder(code_5_2_10)
+    for pmask in (0, 0b11111):
+        with mock.patch.object(
+            _MaskLookup, "_enumerate", autospec=True, side_effect=_MaskLookup._enumerate
+        ) as spy:
+            result = decoder.decode_mask(pmask)
+        assert spy.call_count == 0
+        assert result == scan_decode(code_5_2_10, pmask, True)
+    assert decoder.addr_lookup._columns is None
 
 
 @pytest.fixture(scope="module")
@@ -274,13 +299,13 @@ def test_lookup_builds_columns_once_they_would_have_paid(rcbba_10_3_60):
     assert unions._columns is None
     assert decoder.addr_lookup._columns is None
     # Counting every dropout would save more than one build costs.
-    found = [unions.find(p, 1) for p in dropouts]
+    found = [unions.find(p) for p in dropouts]
     assert unions._columns is not None
     assert type(found[0]) is list and type(found[-1]) is int
     for p, answer in zip(dropouts, found):
-        expected = scan_near(unions, p, 1)
+        expected = scan_near(unions, p)
         assert answer == (expected if type(answer) is list else sum(1 << j for j in expected))
-        assert unions.near(p, 1) == expected
+        assert unions.near(p) == expected
 
 
 def widened(code: GrayCode, width: int, pools: list[int]) -> GrayCode:
@@ -313,17 +338,17 @@ def test_columns_enumeration_and_scan_agree(code, data):
         flips = data.draw(st.sets(st.integers(0, m + 1), max_size=4), label="flips")
         pmask = base ^ sum(1 << f for f in flips)
         low = pmask & ((1 << m) - 1)
-        k = low.bit_count()
-        for outside in range(m + 1):
-            expected = scan_near(lookup, pmask, outside)
+        k_in = low.bit_count()
+        assert lookup.near(pmask) == scan_near(lookup, pmask)
+        for spare in spares(lookup, pmask):
+            expected = scan_near(lookup, pmask, spare)
             bits = sum(1 << j for j in expected)
-            assert lookup.near(pmask, outside) == expected
-            found = lookup.find(pmask, outside)
+            found = lookup.find(pmask, spare)
             assert found == (expected if type(found) is list else bits)
-            assert lookup._count(low, outside, True) == bits
-            assert lookup._count(low, outside, False) == bits
-            counts = lookup._plans[k, outside][0]
-            lookups = sum(comb(k, lookup.w - t) * comb(m - k, t) for t in counts)
+            assert lookup._count(pmask, spare) == bits
+            counts, _, _, every = lookup._plans[pmask.bit_count(), k_in, spare]
+            assert not every or expected == list(range(1, len(lookup.masks) + 1))
+            lookups = sum(comb(k_in, lookup.w - t) * comb(m - k_in, t) for t in counts)
             if lookups <= 5000:
                 assert lookup._enumerate(low, ((1 << m) - 1) ^ low, counts) == expected
 

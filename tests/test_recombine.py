@@ -70,6 +70,8 @@ def test_combine_pair_checks_shapes(code_5_1_5, code_5_2_10):
         combine_pair(code_5_2_10, code_5_2_10)
     with pytest.raises(CombinePreconditionError, match="pool counts"):
         combine_pair(code_5_1_5, GrayCode(6, 2, code_5_2_10.masks))
+    with pytest.raises(CombinePreconditionError, match="requires two non-empty codes"):
+        combine_pair(GrayCode(5, 1, ()), code_5_2_10)
 
 
 def test_row_permutation_identity_and_reversal(code_5_2_10):

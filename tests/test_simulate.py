@@ -189,8 +189,9 @@ def test_grouped_false_positive_levels_with_many_unions_per_outcome(rcbba_code):
 
 
 def decoded_sweep(code, max_errors, mode, samples, seed, error_type):
-    """Sweep records with every candidate count taken from the decoder's
-    full answer, on the outcomes and rng draws of ``simulate_sweep``."""
+    """Sweep records with every pair count taken from the decoder's full
+    answer and every dropout count from a scan of the addresses, on the
+    outcomes and rng draws of ``simulate_sweep``."""
     decoder = PoolDecoder(code)
     unions = decoder.union_masks
     full = (1 << code.m) - 1
@@ -211,7 +212,9 @@ def decoded_sweep(code, max_errors, mode, samples, seed, error_type):
                 pmask = u ^ sum(flips)
                 budget = code.r + 1 - pmask.bit_count()
                 if budget > 0:
-                    counts.append(len(decoder.addr_lookup.near(pmask, budget)))
+                    counts.append(
+                        sum((a & ~pmask).bit_count() <= budget for a in decoder.addr_masks)
+                    )
                 else:
                     counts.append(len(decoder.decode_mask(pmask, False).candidate_items))
         mean = sum(counts) / len(counts)
@@ -242,7 +245,9 @@ def test_counted_sweep_matches_decoded_and_brute_force_sweeps(code, error_type, 
             for u in decoder.union_masks:
                 for flips in combinations([1 << p for p in range(code.m) if u >> p & 1], e):
                     pmask = u ^ sum(flips)
-                    assert count(pmask) == len(decoder.addr_lookup.near(pmask, e))
+                    assert count(pmask) == sum(
+                        (a & ~pmask).bit_count() <= e for a in decoder.addr_masks
+                    )
 
 
 @pytest.mark.parametrize("m, addresses, requirement", INVALID_CODES)
