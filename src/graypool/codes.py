@@ -59,11 +59,12 @@ def _set_bits(mask: int) -> tuple[int, ...]:
     Every loop over the pools of a mask, occupancy counts included, goes
     through here. Looking 10-bit chunks up in a table is about twice as fast
     as peeling off the low bit one at a time. Only pools 1..20 have tables,
-    about 90 kB each; above them each nonzero chunk is read from the first
-    table and offset, so memory does not grow with the mask's width. Above
-    pool 20 a mask with fewer set bits than chunks, such as a decoder answer
-    over a long code, has its lowest set bit peeled off instead, one at a
-    time, so its cost grows with its set bits, not with its width.
+    about 90 kB each; above them each nonzero byte is read from the first
+    table and offset, so memory does not grow with the mask's width and
+    time grows linearly with it. Above pool 20 a mask with fewer set bits
+    than chunks, such as a decoder answer over a long code, has its lowest
+    set bit peeled off instead, one at a time, so its cost grows with its
+    set bits, not with its width.
     """
     out = _LOW_BITS[mask & 1023]
     mask >>= 10
@@ -78,12 +79,10 @@ def _set_bits(mask: int) -> tuple[int, ...]:
                     rest.append(low.bit_length() + 19)
                     mask ^= low
             else:
-                base = 20
-                while mask:
-                    if chunk := mask & 1023:
-                        rest += [base + i for i in _LOW_BITS[chunk]]
-                    mask >>= 10
-                    base += 10
+                data = mask.to_bytes(-(-mask.bit_length() // 8), "little")
+                for base, byte in zip(range(20, 8 * len(data) + 20, 8), data):
+                    if byte:
+                        rest += [base + i for i in _LOW_BITS[byte]]
             out += tuple(rest)
     return out
 

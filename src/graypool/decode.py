@@ -27,6 +27,9 @@ of a long code never builds them.
 The decoder takes valid codes only: distinct addresses of weight r whose
 consecutive unions are distinct and of weight r+1. So each lookup
 enumerates masks of one weight, and each mask has one position.
+
+A decoder builds each pair's exact answer on its first outcome and returns
+that same frozen instance, which holds only tuples, for every repeat.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ class DecodeResult:
     consistent interpretation needs. ``candidate_pairs`` holds the start
     indices j of consistent pairs (j, j+1); ``candidate_items`` every item
     that appears in a consistent interpretation. Both lists are sorted and
-    deduplicated.
+    deduplicated. A decoder may return one exact-pair instance for many
+    calls: it is frozen and holds only tuples, so no caller can change it.
     """
 
     status: str
@@ -297,24 +301,28 @@ class PoolDecoder:
             raise ValueError("code needs distinct consecutive unions")
         self.union_lookup = _MaskLookup(self.m, r + 1, self.union_masks, self.union_index)
         self.addr_lookup = _MaskLookup(self.m, r, self.addr_masks, self.addr_index)
+        self._exact: dict[int, DecodeResult] = {}  # union mask -> its shared exact-pair result
 
     def decode(self, positives: Iterable[int], allow_single: bool = True) -> DecodeResult:
         """Decode the observed positive pools, given as 1-based indices."""
         return self.decode_mask(mask_from_indices(positives, self.m), allow_single)
 
     def decode_mask(self, pmask: int, allow_single: bool = True) -> DecodeResult:
+        exact = self._exact.get(pmask)
+        if exact is not None:
+            return exact
         r = self.r
         k = pmask.bit_count()
         if k == r + 1:
             j = self.union_index.get(pmask)
             if j is not None:
-                return DecodeResult(EXACT_PAIR, (j, j + 1), None, 0, (j, j + 1), (j,))
+                pair = (j, j + 1)
+                exact = self._exact[pmask] = DecodeResult(EXACT_PAIR, pair, None, 0, pair, (j,))
+                return exact
 
         pairs = self.union_lookup.near(pmask)
-        items = set()
-        for j in pairs:
-            items.add(j)
-            items.add(j + 1)
+        items = set(pairs)
+        items.update([j + 1 for j in pairs])
         if allow_single:
             addresses = self.addr_lookup.near(pmask)
             items.update(addresses)

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -44,6 +45,18 @@ def test_set_bits_on_wide_dense_and_sparse_masks(mask):
     # Up to 2^13 bits wide: dense masks from random bytes, sparse ones with a
     # few bits far apart, so that long runs of zero chunks are jumped.
     assert _set_bits(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10**5), st.integers(0, 4), st.integers(0, 2**32))
+def test_set_bits_on_masks_up_to_1e5_bits(width, thinning, seed):
+    # Density 1/2 down to 1/32: both sides of the dense/sparse switch above
+    # pool 20, at widths where a shift of the whole int per step would show.
+    rng = random.Random(seed)
+    mask = rng.getrandbits(width)
+    for _ in range(thinning):
+        mask &= rng.getrandbits(width)
+    assert _set_bits(mask) == tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
 
 
 def test_set_bits_keeps_no_tables_for_wide_masks():

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 from math import comb
 from unittest import mock
@@ -237,6 +238,58 @@ def test_near_rule_is_superset_after_dropouts_and_subset_after_extra_pools(code,
             assert found == [j for j, x in enumerate(lookup.masks, 1) if not pmask & ~x]
         if k >= lookup.w:
             assert found == [j for j, x in enumerate(lookup.masks, 1) if not x & ~pmask]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_valid_codes(), st.data())
+def test_shared_exact_pairs_match_scan_on_repeated_outcomes(code, data):
+    # One decoder per stream. Unions repeat; addresses give singles and
+    # ambiguous outcomes; a union with flipped pools gives an error outcome,
+    # as does the empty outcome (a code may have no pair).
+    addresses = [0, *code.bitmasks()]
+    unions = [0, *(a | b for a, b in zip(addresses[1:], addresses[2:]))]
+    flipped = st.tuples(st.sampled_from(unions), st.integers(1, (1 << code.m) - 1)).map(
+        lambda pair: pair[0] ^ pair[1]
+    )
+    outcome = st.one_of(st.sampled_from(unions), st.sampled_from(addresses), flipped)
+    stream = data.draw(st.lists(outcome, min_size=1, max_size=20), label="stream")
+    decoder = PoolDecoder(code)
+    shared = {}
+    for pmask in stream + stream:
+        for allow_single in (True, False, True, False):
+            result = decoder.decode_mask(pmask, allow_single)
+            assert result == scan_decode(code, pmask, allow_single)
+            if result.status == "exact-pair":
+                assert shared.setdefault(pmask, result) is result
+    assert decoder._exact == shared
+
+
+def test_exact_memo_is_lazy_and_holds_exact_pairs_only(code_5_2_10):
+    decoder = PoolDecoder(code_5_2_10)
+    assert decoder._exact == {}
+    first = decoder.decode({1, 2, 3})
+    assert decoder._exact == {0b00111: first}
+    assert first.pair is first.candidate_items
+    # Every outcome over the five pools and two more: singles, ambiguous
+    # and error outcomes leave the memo as it was.
+    for pmask in range(1 << 7):
+        for allow_single in (True, False):
+            decoder.decode_mask(pmask, allow_single)
+    assert set(decoder._exact) == set(decoder.union_masks)
+    assert len(decoder._exact) <= code_5_2_10.n - 1
+    assert {result.status for result in decoder._exact.values()} == {"exact-pair"}
+    assert decoder.decode({1, 2, 3}) is first
+    with pytest.raises(FrozenInstanceError):
+        first.pair = (2, 3)
+    expected = first.to_json_dict()
+    payload = first.to_json_dict()
+    payload["pair"].append(3)
+    payload["candidate_items"][0] = 9
+    payload["candidate_pairs"].clear()
+    assert decoder.decode({1, 2, 3}).to_json_dict() == expected == {
+        "status": "exact-pair", "pair": [1, 2], "single": None, "inferred_error_count": 0,
+        "candidate_items": [1, 2], "candidate_pairs": [1],
+    }
 
 
 @pytest.mark.parametrize("m, addresses, requirement", INVALID_CODES)
