@@ -206,19 +206,25 @@ def _construct_masks(
     """Run the balance-guided path search from one start address.
 
     The start is ``first_mask`` when pinned and otherwise a uniform draw
-    from ``rng``. Completeness comes from pool symmetry, not from trying
-    every start: relabelling the pools carries any weight-r address onto
-    any other and keeps codes valid, so a length-n code exists from one
-    start exactly when it exists from all. An exhausted search therefore
-    proves that no code exists. Returns the code's masks and its per-pool
-    occupancy counts.
+    from ``rng``. Returns the code's masks and its per-pool occupancy
+    counts. Within ``length_bound(m, r)`` the search cannot run out of
+    candidates: (1) ``_check_request`` rejects every longer n, and is the
+    one place that reports ``infeasible``; (2) every n up to the bound has
+    a code, since ``build_maximal`` meets the bound (the middle levels
+    theorem) and a prefix of a code is a code; (3) one start is as good as
+    every start, since relabelling the pools carries any weight-r address
+    onto any other and keeps codes valid; (4) the order only ranks
+    candidates and never drops one, so the search from that start is
+    complete for any target. rcbba's blocks and closing searches stay
+    within the bound of their own width. An exhausted search is therefore
+    an internal error.
     """
     if first_mask is None:
         first_mask = sum(1 << p for p in rng.sample(range(m), r))
     order = _balance_order(m, target, rng, budget)
     found = _path_search(m, first_mask, budget, order, lambda path, w: len(path) == n)
     if found is None:
-        raise InfeasibleError(f"search exhausted: no ({m},{r},{n}) code exists")
+        raise RuntimeError(f"internal error: search exhausted for ({m},{r},{n})")
     return found
 
 
@@ -239,9 +245,9 @@ def bba(
     ``seed``. The search steers each pool's occupancy towards the
     near-uniform target of ``balance_target``.
 
-    Raises InfeasibleError when ``n`` exceeds the length bound or the
-    exhaustive search proves no code exists, and BudgetExhaustedError when
-    the node-visit budget (or ``time_limit`` seconds) runs out first.
+    Raises InfeasibleError when ``n`` exceeds the length bound (within it a
+    code always exists; see ``_construct_masks``) and BudgetExhaustedError
+    when the node-visit budget (or ``time_limit`` seconds) runs out first.
     """
     _check_request(m, r, n)
     if first_address is not None:

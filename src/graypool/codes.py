@@ -61,10 +61,10 @@ def _set_bits(mask: int) -> tuple[int, ...]:
     as peeling off the low bit one at a time. Only pools 1..20 have tables,
     about 90 kB each; above them each nonzero byte is read from the first
     table and offset, so memory does not grow with the mask's width and
-    time grows linearly with it. Above pool 20 a mask with fewer set bits
-    than chunks, such as a decoder answer over a long code, has its lowest
-    set bit peeled off instead, one at a time, so its cost grows with its
-    set bits, not with its width.
+    time grows linearly with it. Above pool 20 a mask with fewer than 64
+    set bits, such as a decoder answer over a long code, has its lowest set
+    bit peeled off instead, one at a time. Each peel rewrites the whole int,
+    so the cap on set bits keeps that branch linear in the width too.
     """
     out = _LOW_BITS[mask & 1023]
     mask >>= 10
@@ -73,7 +73,7 @@ def _set_bits(mask: int) -> tuple[int, ...]:
         mask >>= 10
         if mask:
             rest: list[int] = []
-            if mask.bit_count() * 10 < mask.bit_length():
+            if mask.bit_count() < 64:
                 while mask:
                     low = mask & -mask
                     rest.append(low.bit_length() + 19)

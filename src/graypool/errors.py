@@ -14,6 +14,8 @@ class BudgetExhaustedError(ConstructionError):
 
 
 class InfeasibleError(ConstructionError):
+    """The requested length exceeds the length bound; see ``bba._construct_masks``."""
+
     kind = "infeasible"
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .bba import SearchBudget, _check_request, _path_search
 from .codes import GrayCode, length_bound, _check_pool_count, _set_bits
-from .errors import BudgetExhaustedError, InfeasibleError, NodeLimitError
+from .errors import BudgetExhaustedError, NodeLimitError
 
 DEFAULT_NODE_LIMIT = 10**7
 
@@ -131,9 +131,10 @@ def exhaustive_best_balance(
     pool symmetry attains every deviation any code does. The order ends
     branches whose best reachable deviation already matches the incumbent,
     and the search stops early when the parity lower bound (0 when n*r
-    divides by m, else 1) is attained. Raises NodeLimitError when the limit
-    is hit before the enumeration finishes and InfeasibleError when no valid
-    code of that length exists.
+    divides by m, else 1) is attained. Raises InfeasibleError when ``n``
+    exceeds the length bound and NodeLimitError when the limit is hit before
+    the enumeration finishes; within the bound it always finds a code (see
+    ``bba._construct_masks``).
     """
     _check_request(m, r, n)
     floor_dev = 0 if (n * r) % m == 0 else 1
@@ -168,5 +169,5 @@ def exhaustive_best_balance(
             best=partial,
         )
     if best_code is None:
-        raise InfeasibleError(f"no valid ({m},{r},{n}) code exists")
+        raise RuntimeError(f"internal error: enumeration exhausted for ({m},{r},{n})")
     return GrayCode(m, r, tuple(best_code))

@@ -38,7 +38,6 @@ from .errors import (
     ClosingUnionNotFoundError,
     CombinePreconditionError,
     ConstructionError,
-    InfeasibleError,
     NoJoiningAddressError,
 )
 from .validate import validate
@@ -200,12 +199,11 @@ class _RecursiveCombiner:
                     return self.masks
             else:
                 placed = self._place_block(width, join_mask, comp_len)
-                if placed is not None:
-                    # A block that lands exactly on the target length finishes
-                    # the build without a closing regime.
-                    if len(self.masks) == self.n:
-                        return self.masks
-                    stack.append((placed, iter(self._join_candidates(width - 1))))
+                # A block that lands exactly on the target length finishes
+                # the build without a closing regime.
+                if len(self.masks) == self.n:
+                    return self.masks
+                stack.append((placed, iter(self._join_candidates(width - 1))))
             while stack:
                 step = next(stack[-1][1], None)
                 if step is not None:
@@ -228,26 +226,19 @@ class _RecursiveCombiner:
 
     # -- iteration ----------------------------------------------------------
 
-    def _place_block(self, width: int, join_mask: int | None, comp_len: int) -> tuple | None:
+    def _place_block(self, width: int, join_mask: int | None, comp_len: int) -> tuple:
         """Search and append the block for the iteration with ``width`` active
-        pools; returns what ``_remove_block`` needs, or None when no block exists.
+        pools; returns what ``_remove_block`` needs.
 
         The first block has no joining address and keeps its own labels. The
         block's occupancy, the all-one row's ``comp_len`` included, is charged
-        to the residuals through its pool table.
+        to the residuals through its pool table. ``comp_len`` is within the
+        block's length bound, so the search finds a block.
         """
-        try:
-            elem, counts = _construct_masks(
-                width - 1,
-                self.r - 1,
-                comp_len,
-                None,
-                balance_target(width - 1, self.r - 1, comp_len),
-                self.rng,
-                self.budget,
-            )
-        except InfeasibleError:
-            return None
+        target = balance_target(width - 1, self.r - 1, comp_len)
+        elem, counts = _construct_masks(
+            width - 1, self.r - 1, comp_len, None, target, self.rng, self.budget
+        )
         ones = 1 << (width - 1)
         first = elem[0] | ones
         table = _pool_table(first, first if join_mask is None else join_mask, self.active, self.m)
@@ -282,12 +273,7 @@ class _RecursiveCombiner:
         start = sum(1 << p for p in self.rng.sample(range(width), self.r))
         table = _pool_table(start, start if join_mask is None else join_mask, self.active, self.m)
         target = tuple(self.w_res[table[i]] for i in range(width))
-        try:
-            elem, counts = _construct_masks(
-                width, self.r, need, start, target, self.rng, self.budget
-            )
-        except InfeasibleError:
-            return False
+        elem, counts = _construct_masks(width, self.r, need, start, target, self.rng, self.budget)
         self._push_masks([_remap_mask(bits, table) for bits in elem])
         self.lengths.append(need)
         self.final_target = target

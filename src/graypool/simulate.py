@@ -21,19 +21,19 @@ give an outcome are exactly the pairs whose union lies inside it, so each
 group is the pair list of its outcome and no outcome is looked up (see
 ``_grouped_pair_totals``). The groups hold one dict key per distinct
 outcome, at most C(m, r+1+e), and one list slot per trial of an outcome
-that two or more trials share; they are dropped when the level ends, and
-a level of more than ``_AUTO_TRIAL_CEILING`` trials counts per trial
-instead, so memory stays bounded. An exhaustive dropout level first
+that two or more trials share. An exhaustive dropout level first
 tallies, over every address, how many addresses hold each of its (k-1)-
 and k-subsets; an outcome's count is then k+1 lookups in that table (see
-``_dropout_count``), which has n*C(r+1, e) entries and is dropped when the
-level ends. Every other trial, sampled or above the ceiling, asks the
-decoder's union lookup for its pairs or its address lookup for its
-dropout count (``find`` with one spare pool), under the same cost rule
-as ``PoolDecoder.decode``. The answer comes as enumerated positions or as
-a column bitset, and is counted as it comes: an address count is its
-length or its bit count, and a pair list of length L counts 2L items less
-one per adjacent pair (``_items``), a pair bitset P
+``_dropout_count``), which has n*C(r+1, e) entries, about one per trial.
+Either table is dropped when the level ends, and a level of more than
+``_AUTO_TRIAL_CEILING`` trials builds neither, so memory stays bounded.
+Every other trial, sampled or above the ceiling, asks the decoder's
+union lookup for its pairs or its address lookup for its dropout count
+(``find`` with one spare pool), under the same cost rule as
+``PoolDecoder.decode``. The answer comes as enumerated positions or as a
+column bitset, and is counted as it comes: an address count is its
+length or its bit count, and a pair list of length L counts 2L items
+less one per adjacent pair (``_items``), a pair bitset P
 ``(P | P << 1).bit_count()``.
 These shortcuts rely on the code being valid, and the decoder the sweep
 builds rejects any other code.
@@ -171,8 +171,9 @@ def simulate_sweep(
 
     Candidates are counted, not decoded. An exhaustive level of at most
     10^6 trials that counts pairs (e = 0, or false positives) groups its
-    trials on their outcome instead of looking each one up; see the module
-    docstring for its memory and for which levels build a dropout table.
+    trials on their outcome instead of looking each one up, and one that
+    counts dropouts builds a dropout table; see the module docstring for
+    their memory.
     The code must be valid, or the decoder's ``ValueError`` names a
     requirement it fails. Every pair then has r+1 pools to knock out and
     m-r-1 to light, so no error level runs out of trials.
@@ -232,11 +233,12 @@ def simulate_sweep(
     records = []
     for e in range(max_errors + 1):
         trials = (code.n - 1) * comb(pool_count, e) if mode == "exhaustive" else samples
+        grouped = mode == "exhaustive" and trials <= _AUTO_TRIAL_CEILING
         if e != 0 and error_type == FALSE_NEGATIVE:
             # The dropout table lives for this level only.
-            count = _dropout_count(decoder, e) if mode == "exhaustive" else dropout_count
+            count = _dropout_count(decoder, e) if grouped else dropout_count
             total_candidates, worst = _totals(map(count, outcomes(e)))
-        elif mode == "exhaustive" and trials <= _AUTO_TRIAL_CEILING:
+        elif grouped:
             total_candidates, worst = _grouped_pair_totals(unions, code.m, e)
         else:
             total_candidates, worst = _totals(map(pair_count, outcomes(e)))

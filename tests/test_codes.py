@@ -39,12 +39,19 @@ def test_set_bits_lists_every_set_bit(mask):
         st.sets(st.integers(0, (1 << 13) - 1), max_size=12).map(
             lambda bits: sum(1 << b for b in bits)
         ),
+        st.tuples(st.integers(10**4, 10**5), st.integers(40, 100), st.randoms()).map(
+            lambda t: sum(1 << b for b in t[2].sample(range(t[0]), t[1]))
+        ),
     )
 )
 def test_set_bits_on_wide_dense_and_sparse_masks(mask):
     # Up to 2^13 bits wide: dense masks from random bytes, sparse ones with a
-    # few bits far apart, so that long runs of zero chunks are jumped.
-    assert _set_bits(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    # few bits far apart, so that long runs of zero chunks are jumped. Masks
+    # with 40 to 100 set bits over 10^4 to 10^5 bits sit on both sides of the
+    # switch from peeling to the byte walk. The reference reads the binary
+    # string, which stays linear in the width.
+    bits = format(mask, "b")[::-1]
+    assert _set_bits(mask) == tuple(i for i, bit in enumerate(bits) if bit == "1")
 
 
 @settings(max_examples=10, deadline=None)

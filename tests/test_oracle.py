@@ -103,7 +103,7 @@ def _every_start_best_balance(m, r, n, node_limit):
     """The balance oracle's search from every start in index order: the
     reference that the single-start ``exhaustive_best_balance`` must match.
 
-    Returns the best code's masks, InfeasibleError when the enumeration
+    Returns the best code's masks, an empty tuple when the enumeration
     finishes without a code, or None when the node limit cuts it short.
     """
     floor_dev = 0 if n * r % m == 0 else 1
@@ -129,14 +129,15 @@ def _every_start_best_balance(m, r, n, node_limit):
                 break
     except BudgetExhaustedError:
         return None
-    return tuple(best) if best else InfeasibleError
+    return tuple(best)
 
 
 def test_best_balance_matches_the_every_start_reference(monkeypatch):
     # Pool symmetry makes the start {1..r} complete: wherever the reference
     # finishes, the single start finishes at the same node limit with the
     # same code. Lengths one above the bound, with the bound check lifted,
-    # make both enumerations run to their ends and prove that no code exists.
+    # make both enumerations run to their ends and prove that no code exists;
+    # the single start then raises its internal error, and only there.
     bba_module = importlib.import_module("graypool.bba")
     monkeypatch.setattr(bba_module, "length_bound", lambda m, r: length_bound(m, r) + 1)
     cases = [
@@ -154,9 +155,11 @@ def test_best_balance_matches_the_every_start_reference(monkeypatch):
             finished += 1
             try:
                 got = exhaustive_best_balance(m, r, n, node_limit=limit).masks
-            except InfeasibleError:
-                got = InfeasibleError
+            except RuntimeError as exc:
+                assert str(exc).startswith("internal error: enumeration exhausted")
+                got = ()
             assert got == expected, (m, r, n, limit)
+            assert got or n > length_bound(m, r)
     assert finished > 2 * len(cases)
 
 

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graypool import (
+    BudgetExhaustedError,
     CombinationTrace,
     CombinePreconditionError,
     ConstructionError,
     GrayCode,
     InfeasibleError,
+    NoJoiningAddressError,
     apply_row_permutation,
     balance_of,
     balance_target,
@@ -167,6 +169,21 @@ def test_rcbba_near_bound_requests_can_exhaust():
     # return a short code.
     with pytest.raises(ConstructionError):
         rcbba(6, 2, 15, budget=10**5)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_every_request_within_the_bound_builds(m):
+    # The bound alone decides "infeasible": below it bba always finds a code,
+    # and rcbba fails only by running out of joining addresses or budget.
+    for r in range(1, m):
+        for n in range(1, length_bound(m, r) + 1):
+            for seed in range(3):
+                assert bba(m, r, n, seed=seed, budget=10**6).n == n
+            for seed in range(2):
+                try:
+                    assert rcbba(m, r, n, seed=seed, budget=10**6).n == n
+                except (NoJoiningAddressError, BudgetExhaustedError):
+                    pass
 
 
 def test_rcbba_degenerate_regimes():

@@ -164,20 +164,28 @@ def test_grouped_levels_match_per_trial_levels(medium_code, code_6_2_15, rcbba_c
     for code in (medium_code, code_6_2_15, rcbba_code):
         top = code.r if error_type == "false-negative" else code.m - code.r - 1
         records = simulate_sweep(code, top, mode="exhaustive", error_type=error_type)
-        # Only levels at most the ceiling are grouped; a ceiling of 0 sends
-        # every level to the per-trial count.
+        # Only levels at most the ceiling are grouped or build a dropout
+        # table; a ceiling of 0 sends every level to the per-trial count.
         for ceiling in (0, records[1].trials):
             with (
                 mock.patch.object(simulate, "_AUTO_TRIAL_CEILING", ceiling),
                 mock.patch.object(
                     simulate, "_grouped_pair_totals", wraps=simulate._grouped_pair_totals
                 ) as spy,
+                mock.patch.object(
+                    simulate, "_dropout_count", wraps=simulate._dropout_count
+                ) as table_spy,
             ):
                 assert simulate_sweep(code, top, mode="exhaustive", error_type=error_type) == records
             assert [call.args[2] for call in spy.call_args_list] == [
                 rec.e
                 for rec in records
                 if rec.trials <= ceiling and (rec.e == 0 or error_type == "false-positive")
+            ]
+            assert [call.args[1] for call in table_spy.call_args_list] == [
+                rec.e
+                for rec in records
+                if rec.trials <= ceiling and rec.e >= 1 and error_type == "false-negative"
             ]
 
 
