@@ -14,7 +14,6 @@ from .codes import (
 )
 from .errors import (
     BudgetExhaustedError,
-    ClosingUnionNotFoundError,
     CombinePreconditionError,
     ConstructionError,
     InfeasibleError,

@@ -23,12 +23,6 @@ class NoJoiningAddressError(ConstructionError):
     kind = "no-joining-address"
 
 
-class ClosingUnionNotFoundError(ConstructionError):
-    """No admissible closing union exists for the given code."""
-
-    kind = "no-closing-union"
-
-
 class CombinePreconditionError(ValueError):
     """A pairwise combination precondition failed; the message names the condition."""
 

@@ -15,6 +15,9 @@ down to built (2r+1, r) bases: each base is a Hamilton cycle of the
 middle-levels graph, which exists for every r by the middle levels theorem
 (Mütze, Proc. LMS 2016; Gregor, Mütze & Nummenpalo, Discrete Analysis 2018),
 and is built from two perfect matchings glued along 6-cycles, with no search.
+Only what can fail is guarded: an rcbba join is checked against the block
+it leaves alone (``_RecursiveCombiner``), and the flip always finds its
+leading union (``_maximal_by_flip``): build_maximal fails only on a stalled base.
 ``_pool_table`` is the one place where a block's pools are relabelled, for
 rcbba's blocks, its closing search and ``build_maximal``'s combinations.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, takewhile
+from operator import or_
 from typing import Iterator, Sequence
 
 from .bba import (
@@ -34,12 +38,7 @@ from .bba import (
     balance_target,
 )
 from .codes import GrayCode, length_bound, _check_pool_count, _set_bits
-from .errors import (
-    ClosingUnionNotFoundError,
-    CombinePreconditionError,
-    ConstructionError,
-    NoJoiningAddressError,
-)
+from .errors import CombinePreconditionError, ConstructionError, NoJoiningAddressError
 from .validate import validate
 
 
@@ -165,6 +164,13 @@ class _RecursiveCombiner:
     For r = 1, for m <= 2r and for n*r < m there are no iterative blocks:
     the closing search starts at width m and builds the whole code.
 
+    The unions stay distinct with no set of them all. Every union inside
+    iterative block j, and the join leaving it, holds the pool p_j that the
+    block consumes; nothing placed after block j holds p_j. So unions of
+    different blocks differ (the closing block's hold no consumed pool),
+    and a join can only repeat a union of the block it leaves, which
+    ``_join_candidates`` checks. ``rcbba_detailed`` still validates the code.
+
     Pools are 0-based bit positions throughout; only ``trace`` reports them 1-based.
     """
 
@@ -176,7 +182,6 @@ class _RecursiveCombiner:
         self.rng = rng
         self.budget = budget
         self.masks: list[int] = []
-        self.union_set: set[int] = set()
         self.w_res = list(w_ini)
         self.active = (1 << m) - 1  # the pools no placed block has consumed
         self.consumed: list[int] = []
@@ -191,24 +196,24 @@ class _RecursiveCombiner:
         block after it; a block with none left is taken off again, and the
         block before it tries its next one.
         """
-        stack: list[tuple[tuple, Iterator[tuple[int, int]]]] = []
+        stack: list[tuple[list, Iterator[tuple[int, int]]]] = []
         width, join_mask, comp_len = self.m, None, self.w_res[self.m - 1]
         while True:
             if width == self.final_width:
                 if self._final(width, join_mask):
                     return self.masks
             else:
-                placed = self._place_block(width, join_mask, comp_len)
+                charged = self._place_block(width, join_mask, comp_len)
                 # A block that lands exactly on the target length finishes
                 # the build without a closing regime.
                 if len(self.masks) == self.n:
                     return self.masks
-                stack.append((placed, iter(self._join_candidates(width - 1))))
+                stack.append((charged, iter(self._join_candidates(width - 1))))
             while stack:
                 step = next(stack[-1][1], None)
                 if step is not None:
                     break
-                self._remove_block(*stack.pop()[0])
+                self._remove_block(stack.pop()[0])
             else:
                 raise NoJoiningAddressError(
                     f"all joining addresses exhausted for (m={self.m}, r={self.r}, n={self.n})"
@@ -226,9 +231,9 @@ class _RecursiveCombiner:
 
     # -- iteration ----------------------------------------------------------
 
-    def _place_block(self, width: int, join_mask: int | None, comp_len: int) -> tuple:
+    def _place_block(self, width: int, join_mask: int | None, comp_len: int) -> list:
         """Search and append the block for the iteration with ``width`` active
-        pools; returns what ``_remove_block`` needs.
+        pools; returns the (pool, count) charges ``_remove_block`` refunds.
 
         The first block has no joining address and keeps its own labels. The
         block's occupancy, the all-one row's ``comp_len`` included, is charged
@@ -242,8 +247,7 @@ class _RecursiveCombiner:
         ones = 1 << (width - 1)
         first = elem[0] | ones
         table = _pool_table(first, first if join_mask is None else join_mask, self.active, self.m)
-        placed = [_remap_mask(bits | ones, table) for bits in elem]
-        added = self._push_masks(placed)
+        self.masks.extend(_remap_mask(bits | ones, table) for bits in elem)
         charged = list(zip(table, [*counts, comp_len]))
         for pool, count in charged:
             self.w_res[pool] -= count
@@ -251,14 +255,13 @@ class _RecursiveCombiner:
         self.active ^= 1 << table[width - 1]
         self.consumed.append(table[width - 1])
         self.lengths.append(comp_len)
-        return added, charged
+        return charged
 
-    def _remove_block(self, added: list[int], charged: list[tuple[int, int]]) -> None:
+    def _remove_block(self, charged: list[tuple[int, int]]) -> None:
         del self.masks[len(self.masks) - self.lengths.pop():]
         self.active |= 1 << self.consumed.pop()
         for pool, count in charged:
             self.w_res[pool] += count
-        self.union_set.difference_update(added)
 
     def _final(self, width: int, join_mask: int | None) -> bool:
         """Closing regime: one balance-targeted search over the remaining pools.
@@ -274,7 +277,7 @@ class _RecursiveCombiner:
         table = _pool_table(start, start if join_mask is None else join_mask, self.active, self.m)
         target = tuple(self.w_res[table[i]] for i in range(width))
         elem, counts = _construct_masks(width, self.r, need, start, target, self.rng, self.budget)
-        self._push_masks([_remap_mask(bits, table) for bits in elem])
+        self.masks.extend(_remap_mask(bits, table) for bits in elem)
         self.lengths.append(need)
         self.final_target = target
         self.final_balance = tuple(counts)
@@ -289,18 +292,21 @@ class _RecursiveCombiner:
         distance 2 from the last placed address, and form a fresh union with
         it. Since every column of the block just placed contains the pool that
         block consumed, the joining address is that last address with the
-        consumed pool swapped for another active pool. Candidates are ordered
-        by the residual occupancy of their largest pool, descending, with
-        index-order tie-breaks; that residual is the next block's length.
+        consumed pool swapped for another active pool, and its union can only
+        repeat one of that block's. Candidates are ordered by the residual
+        occupancy of their largest pool, descending, with index-order
+        tie-breaks; that residual is the next block's length.
         """
         last = self.masks[-1]
         core = last & ~(1 << self.consumed[-1])
+        block = self.masks[-self.lengths[-1]:]
+        taken = set(map(or_, block, block[1:]))
         # An iterative block must fit the remaining length and its own bound.
         cap = min(self.n - len(self.masks), length_bound(width - 1, self.r - 1))
         out = []
         for z in _set_bits(self.active & ~last):
             candidate = core | 1 << z
-            if (last | candidate) in self.union_set:
+            if (last | candidate) in taken:
                 continue
             next_len = self.w_res[candidate.bit_length() - 1]
             if width > self.final_width and not 1 <= next_len <= cap:
@@ -308,18 +314,6 @@ class _RecursiveCombiner:
             out.append((candidate, next_len))
         out.sort(key=lambda t: -t[1])
         return out
-
-    # -- mask bookkeeping ------------------------------------------------------
-
-    def _push_masks(self, placed: list[int]) -> list[int]:
-        joined = self.masks[-1:] + placed
-        added = [a | b for a, b in zip(joined, joined[1:])]
-        for u in added:
-            if u in self.union_set:
-                raise RuntimeError("internal error: duplicate union while combining")
-            self.union_set.add(u)
-        self.masks.extend(placed)
-        return added
 
 
 def _pool_table(src: int, dst: int, active: int, m: int) -> list[int]:
@@ -626,7 +620,16 @@ def _flip(cycles, six) -> None:
 
 
 def _maximal_by_flip(m, r, rng) -> GrayCode:
-    """Maximal (m, r) code for r+1 <= m <= 2r via a complemented union path."""
+    """Maximal (m, r) code for r+1 <= m <= 2r via a complemented union path.
+
+    For r+1 < m the path is the maximal (m, s) code's, s = m-r-1, led by a
+    fresh superset ``head`` of its first address and closed by ``tail``.
+    As m >= 2s+2, the chain of lighter codes (m, s), (m-1, s-1), ... never
+    meets a base and ends at the singleton code (m-s+1, 1). So the first
+    address is pool 0 plus the top s-1 pools, and of its r+1 >= 3 supersets
+    only two are used, that code's {0, 1} and closing {0, m-s} plus those
+    pools (the next join, or ``tail`` for s = 1): ``head`` always exists.
+    """
     full = (1 << m) - 1
     if r == m - 1:
         # One union fits: the all-one vector between the complements of two singletons.
@@ -634,10 +637,6 @@ def _maximal_by_flip(m, r, rng) -> GrayCode:
     src_r = m - r - 1
     src, tail = _maximal_with_closing(m, src_r, rng)
     head = _fresh_superset(m, src.masks[0], set(_unions(src)) | {tail})
-    if head is None:
-        raise ClosingUnionNotFoundError(
-            f"no leading closing union for the maximal ({m},{src_r}) source"
-        )
     # Any address inside ``head`` placed before the source makes ``head`` the
     # first union of the path; only the unions are complemented.
     lead = head ^ 1 << _set_bits(src.masks[0])[0]

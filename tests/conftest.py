@@ -34,6 +34,15 @@ ROWS_6_2_15 = (
     (1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
 )
 
+# The requests of the paper's bba table that fit the length bound.
+BBA_GRID = [
+    (m, r, n)
+    for m in (10, 12, 14)
+    for r in (2, 3, 4)
+    for n in (150, 350, 550, 750, 950)
+    if n <= length_bound(m, r)
+]
+
 # Codes with r = 2 that each fail a requirement of a valid code, and the
 # first requirement each one fails, worded to follow "code needs".
 INVALID_CODES = (

@@ -29,15 +29,14 @@ from graypool import (
 from graypool.codes import _code_from_csv, _code_to_csv
 from graypool.decode import PoolDecoder
 
-from conftest import ROWS_5_1_5, ROWS_5_2_10, ROWS_6_2_15, code_from_rows, csv_from_rows
-
-BBA_GRID = [
-    (m, r, n)
-    for m in (10, 12, 14)
-    for r in (2, 3, 4)
-    for n in (150, 350, 550, 750, 950)
-    if n <= length_bound(m, r)
-]
+from conftest import (
+    BBA_GRID,
+    ROWS_5_1_5,
+    ROWS_5_2_10,
+    ROWS_6_2_15,
+    code_from_rows,
+    csv_from_rows,
+)
 
 # Block lengths are pinned to per-pool occupancy targets, so at these two
 # near-bound points the closing regime of the recursive combination is often

@@ -292,6 +292,14 @@ def test_exact_memo_is_lazy_and_holds_exact_pairs_only(code_5_2_10):
     }
 
 
+@pytest.mark.parametrize("pmask", [1.0, 7.0, "7", None])
+def test_decode_mask_on_a_memo_miss_rejects_a_non_int(code_5_2_10, pmask):
+    # decode_mask takes ints only; a fresh decoder has nothing memoised, so
+    # the mask reaches the type check instead of failing on an int method.
+    with pytest.raises(TypeError, match="decode_mask takes an int mask"):
+        PoolDecoder(code_5_2_10).decode_mask(pmask)
+
+
 @pytest.mark.parametrize("m, addresses, requirement", INVALID_CODES)
 def test_decoder_rejects_invalid_codes(m, addresses, requirement):
     with pytest.raises(ValueError) as excinfo:

@@ -1,10 +1,11 @@
 import importlib
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from conftest import BBA_GRID
 from graypool import (
     BudgetExhaustedError,
     CombinationTrace,
@@ -250,6 +251,105 @@ def test_combiner_residuals_are_the_target_less_the_placed_blocks(m, r, n, seed)
     assert all(builder.w_res[pool] == 0 for pool in builder.consumed)
 
 
+def test_every_union_holds_its_blocks_consumed_pool():
+    # Why the combiner needs no global union set: every union inside
+    # iterative block j, and the join leaving it, holds the pool p_j that
+    # the block consumes, and no later address holds p_j. So unions of
+    # different blocks differ, and a join can only repeat its own block's.
+    built = 0
+    for m, r, n in BBA_GRID:
+        for seed in range(3):
+            try:
+                code, trace = rcbba_detailed(m, r, n, seed=seed, budget=10**5)
+            except ConstructionError:
+                continue
+            built += 1
+            ends = list(accumulate(trace.component_lengths))
+            for start, end, pool in zip([0, *ends], ends, trace.consumed_pools):
+                bit = 1 << (pool - 1)
+                unions = _unions(GrayCode(m, r, code.masks[start : end + 1]))
+                assert all(u & bit for u in unions), (m, r, n, seed, pool)
+                assert not any(x & bit for x in code.masks[end:]), (m, r, n, seed, pool)
+    # (14, 3, 350) and (14, 4, 950) run out of this budget at seeds 0-2.
+    assert built == 3 * len(BBA_GRID) - 6
+
+
+class _GlobalUnionCombiner(_RecursiveCombiner):
+    """Reference combiner that keeps a set of every union of the code: a
+    join is refused if it repeats any union placed so far, and a placed
+    block whose unions repeat one is an internal error."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.union_set: set[int] = set()
+        self.added: list[list[int]] = []
+
+    def _place_block(self, width, join_mask, comp_len):
+        start = len(self.masks)
+        charged = super()._place_block(width, join_mask, comp_len)
+        self.added.append(self._push_masks(start))
+        return charged
+
+    def _remove_block(self, charged):
+        super()._remove_block(charged)
+        self.union_set.difference_update(self.added.pop())
+
+    def _final(self, width, join_mask):
+        start = len(self.masks)
+        done = super()._final(width, join_mask)
+        if done:
+            self._push_masks(start)
+        return done
+
+    def _join_candidates(self, width):
+        last = self.masks[-1]
+        core = last & ~(1 << self.consumed[-1])
+        cap = min(self.n - len(self.masks), length_bound(width - 1, self.r - 1))
+        out = []
+        for z in _set_bits(self.active & ~last):
+            candidate = core | 1 << z
+            if (last | candidate) in self.union_set:
+                continue
+            next_len = self.w_res[candidate.bit_length() - 1]
+            if width > self.final_width and not 1 <= next_len <= cap:
+                continue
+            out.append((candidate, next_len))
+        out.sort(key=lambda t: -t[1])
+        return out
+
+    def _push_masks(self, start):
+        """Record the unions of the masks from ``start`` on, and of the
+        join into them."""
+        joined = self.masks[max(start - 1, 0):]
+        added = [a | b for a, b in zip(joined, joined[1:])]
+        for u in added:
+            if u in self.union_set:
+                raise RuntimeError("internal error: duplicate union while combining")
+            self.union_set.add(u)
+        return added
+
+
+def _combine(combiner, m, r, n, seed, budget):
+    builder = combiner(m, r, n, balance_target(m, r, n), random.Random(seed), SearchBudget(budget))
+    try:
+        return builder.run(), builder.trace()
+    except ConstructionError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_block_local_join_check_matches_the_global_union_set(data):
+    m = data.draw(st.integers(2, 10))
+    r = data.draw(st.integers(1, m - 1))
+    n = data.draw(st.integers(1, length_bound(m, r)))
+    seed = data.draw(st.integers(0, 2**16))
+    budget = data.draw(st.integers(10, 2 * 10**4))
+    outcome = _combine(_RecursiveCombiner, m, r, n, seed, budget)
+    event("built" if type(outcome[0]) is list else outcome[0].kind)
+    assert outcome == _combine(_GlobalUnionCombiner, m, r, n, seed, budget)
+
+
 def test_rcbba_is_deterministic():
     a = rcbba(12, 4, 150, seed=11)
     b = rcbba(12, 4, 150, seed=11)
@@ -350,6 +450,27 @@ def test_maximal_base_is_a_middle_levels_hamilton_cycle(r):
     assert sorted(code.masks) == sorted(sum(1 << i for i in c) for c in combinations(range(m), r))
     assert sorted(unions) == sorted(sum(1 << i for i in c) for c in combinations(range(m), r + 1))
     assert closing == code.masks[-1] | code.masks[0]
+
+
+_FLIPPED = [(m, r) for m in range(3, 15) for r in range(1, m) if r + 1 < m <= 2 * r]
+
+
+@pytest.mark.parametrize("m,r", _FLIPPED)
+def test_flip_source_first_address_has_a_fresh_superset(m, r):
+    # The (m, s) flip source, s = m-r-1, starts with its singleton chain:
+    # pool 0 and the top s-1 pools. Of that address's r+1 supersets only
+    # the chain's first union and its closing union {0, m-s} are used, as
+    # a union or as the closing union, so a leading union always exists.
+    s = m - r - 1
+    top = (1 << m) - (1 << (m - s + 1))
+    for seed in range(3):
+        src, tail = _maximal_with_closing(m, s, random.Random(seed))
+        first = src.masks[0]
+        assert first == 1 | top
+        supersets = {first | 1 << z for z in range(m) if not first >> z & 1}
+        used = supersets & (set(_unions(src)) | {tail})
+        assert len(supersets) == r + 1
+        assert used == {first | 0b10, first | 1 << (m - s)}, (m, r, seed)
 
 
 def test_build_maximal_rejects_bad_parameters():
