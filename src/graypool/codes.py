@@ -5,7 +5,9 @@ the library's only representation of an address, in and out of its public
 functions. Pools are numbered from 1 only at the edges, where pool numbers
 are read or written: JSON and CSV files, the CLI, ``GrayCode.from_index_sets``,
 ``PoolDecoder.decode``, ``apply_row_permutation`` and ``CombinationTrace``.
-All types are immutable values.
+All types are immutable values. The pool view of a code is one column per
+pool, an int whose bit j says that address j holds the pool; ``_columns`` is
+the one transpose into it, for occupancy counts, CSV rows and the decoder.
 
 A code file is JSON or CSV. JSON is ``json.dumps(code_to_json_dict(code),
 indent=2)`` plus a newline. CSV has one line of comma-separated 0/1 cells
@@ -19,10 +21,14 @@ from __future__ import annotations
 
 import json
 import sys
+from array import array
 from dataclasses import dataclass
+from functools import reduce
+from itertools import groupby, repeat
 from math import comb
+from operator import and_, or_, rshift
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 def _check_pool_count(m: int) -> None:
@@ -92,6 +98,29 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
     return tuple([i + 1 for i in _set_bits(mask)])
 
 
+def _unions(masks: Sequence[int]) -> list[int]:
+    """The consecutive unions of a mask list: mask j OR mask j+1."""
+    return list(map(or_, masks, masks[1:]))
+
+
+def _columns(masks: Sequence[int]) -> dict[int, int]:
+    """The column of each 0-based pool that some mask holds: bit j set when
+    ``masks[j]`` holds it. For each word of pools that holds a pool, a block
+    of at most 4096 masks packs its words into an array, read as one int
+    whose binary string holds each column of the block as a strided slice."""
+    word = 8 * array("I").itemsize
+    columns: dict[int, int] = {}
+    for base, pools in groupby(_set_bits(reduce(or_, masks, 0)), lambda p: p - p % word):
+        pools = list(pools)
+        for start in range(0, len(masks), 4096):
+            block = map(rshift, masks[start : start + 4096], repeat(base))
+            packed = array("I", map(and_, block, repeat((1 << word) - 1)))
+            bits = format(int.from_bytes(packed.tobytes(), "little"), f"0{len(packed) * word}b")
+            for p in pools:  # the slice starts at the block's last mask
+                columns[p] = columns.get(p, 0) | int(bits[word - 1 - p + base :: word], 2) << start
+    return columns
+
+
 @dataclass(frozen=True)
 class BalanceVector:
     """Per-pool occupancy counts of a code."""
@@ -131,6 +160,8 @@ class GrayCode:
         masks = tuple(self.masks)
         limit = 1 << self.m
         for x in masks:
+            if type(x) is not int:
+                raise ValueError(f"bitmask {x!r} is not an int")
             if not 0 <= x < limit:
                 raise ValueError(f"bitmask {x:#x} out of range for m={self.m}")
         object.__setattr__(self, "masks", masks)
@@ -150,9 +181,8 @@ class GrayCode:
 def balance_of(code: GrayCode) -> BalanceVector:
     """Count, per pool, how many addresses of the code use it."""
     counts = [0] * code.m
-    for x in code.masks:
-        for i in _set_bits(x):
-            counts[i] += 1
+    for p, column in _columns(code.masks).items():
+        counts[p] = column.bit_count()
     return BalanceVector(tuple(counts))
 
 
@@ -214,9 +244,8 @@ def _code_to_csv(code: GrayCode) -> str:
     """
     if not code.masks:
         raise ValueError("a CSV code file needs at least one address")
-    spec = f"0{code.m}b"
-    columns = [format(x, spec)[::-1] for x in code.masks]
-    return "\n".join([",".join(row) for row in zip(*columns)]) + "\n"
+    spec, columns = f"0{code.n}b", _columns(code.masks)
+    return "".join([",".join(format(columns.get(p, 0), spec)[::-1]) + "\n" for p in range(code.m)])
 
 
 def _json_object(code: GrayCode, addresses: list, extra: dict | None) -> dict:

@@ -16,13 +16,13 @@ could be consistent with the observation and looks each one up in the
 decoder's mask tables; its cost depends on m, r and the observation but
 not on the code length n. For k observed pools that is C(m-k, r+1-k) union
 supersets after a false negative and C(k, r+1) union subsets after a false
-positive. The other counts on pool columns, one n-bit int per pool, with
-big-int operations whose cost grows with n: the AND of the observed pools'
-columns after a false negative, the complement of the OR of the other
-columns after a false positive. An outcome that every mask fits, such as
-the empty one, needs neither. A decoder builds its columns only once
-enumerating would have cost it more than the build, so a one-shot decode
-of a long code never builds them.
+positive. The other counts on pool columns (``codes._columns``), one
+n-bit int per pool, with big-int operations whose cost grows with n: the
+AND of the observed pools' columns after a false negative, the complement
+of the OR of the other columns after a false positive. An outcome that
+every mask fits, such as the empty one, needs neither. A decoder builds
+its columns only once enumerating would have cost it more than the build,
+so a one-shot decode of a long code never builds them.
 
 The decoder takes valid codes only: distinct addresses of weight r whose
 consecutive unions are distinct and of weight r+1. So each lookup
@@ -34,15 +34,14 @@ that same frozen instance, which holds only tuples, for every repeat.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
 from math import comb
-from operator import and_, or_, rshift
+from operator import and_, or_
 from typing import Iterable
 
-from .codes import GrayCode, _set_bits, mask_from_indices
+from .codes import GrayCode, _columns, _set_bits, _unions, mask_from_indices
 
 EXACT_PAIR = "exact-pair"
 EXACT_SINGLE = "exact-single"
@@ -154,8 +153,8 @@ class _MaskLookup:
     ways. It can build every mask of weight w that could fit, from the lit
     pools and, only when a mask may take pools outside them, from the other
     pools too, and look each one up in the index. Or it can count on the
-    pool columns: for each pool some mask holds, an int whose bit j says
-    that the mask at position j holds it (``_count``).
+    pool columns from ``codes._columns``: for each pool some mask holds, an
+    int whose bit j says that the mask at position j holds it (``_count``).
 
     Each query takes the way its plan says is cheaper. The columns are
     built on first need and only then (rent or buy): the lookup adds up
@@ -166,7 +165,7 @@ class _MaskLookup:
     enumerates more than a build costs.
     """
 
-    __slots__ = ("m", "w", "masks", "index", "_plans", "_every", "_rent", "_held", "_columns")
+    __slots__ = ("m", "w", "masks", "index", "_plans", "_every", "_rent", "_columns")
 
     def __init__(self, m: int, w: int, masks: list[int], index: dict[int, int]):
         self.m = m
@@ -177,7 +176,6 @@ class _MaskLookup:
         self._every = ((1 << len(masks)) - 1) << 1  # bits 1..n: every position
         # What the columns must save, in lookups, before they are built.
         self._rent = len(masks) * (m // 32 + 1)
-        self._held = 0  # the pools that some mask holds, once the columns are built
         self._columns: dict[int, int] | None = None
 
     def near(self, pmask: int) -> list[int]:
@@ -236,11 +234,12 @@ class _MaskLookup:
         need be. A lit pool that no mask holds, or that lies above m, reads
         as an empty column."""
         if self._columns is None:
-            self._build()
+            # Column bits count positions from 1, as ``_every`` does.
+            self._columns = {p: c << 1 for p, c in _columns(self.masks).items()}
         every = self._every
         if pmask.bit_count() > self.w:
             # No pool outside the lit ones: none of the other columns.
-            others = map(self._columns.__getitem__, _set_bits(self._held & ~pmask))
+            others = map(self._columns.get, _set_bits(~pmask & (1 << self.m) - 1), repeat(0))
             return every & ~reduce(or_, others, 0)
         lit = list(map(self._columns.get, _set_bits(pmask), repeat(0)))
         if not spare:
@@ -250,24 +249,6 @@ class _MaskLookup:
         before = [every, *accumulate(lit, and_)]
         after = [*accumulate(reversed(lit), and_)][::-1]
         return reduce(or_, map(and_, before, after[1:] + [every]))
-
-    def _build(self) -> None:
-        """Transpose the masks into columns at C level, one word of pools
-        at a time: the word of every mask, position 0 a zero pad, packed
-        into one int whose binary string holds each column as one strided
-        slice. Only pools that some mask holds get a column."""
-        padded = [0, *self.masks]
-        self._held = held = reduce(or_, padded)
-        word = 8 * array("I").itemsize
-        ones = (1 << word) - 1
-        columns = {}
-        for base in range(0, held.bit_length(), word):
-            if chunk := held >> base & ones:
-                packed = array("I", map(and_, map(rshift, padded, repeat(base)), repeat(ones)))
-                bits = format(int.from_bytes(packed.tobytes(), "little"), f"0{len(packed) * word}b")
-                for i in _set_bits(chunk):
-                    columns[base + i] = int(bits[word - 1 - i :: word], 2)
-        self._columns = columns
 
 
 class PoolDecoder:
@@ -285,10 +266,7 @@ class PoolDecoder:
         self.m = code.m
         self.r = r = code.r
         self.addr_masks = list(code.bitmasks())
-        self.union_masks = [
-            self.addr_masks[j] | self.addr_masks[j + 1]
-            for j in range(len(self.addr_masks) - 1)
-        ]
+        self.union_masks = _unions(self.addr_masks)
         self.union_index = {u: j + 1 for j, u in enumerate(self.union_masks)}
         self.addr_index = {a: j + 1 for j, a in enumerate(self.addr_masks)}
         if set(map(int.bit_count, self.union_masks)) - {r + 1}:

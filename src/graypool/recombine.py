@@ -27,7 +27,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, takewhile
-from operator import or_
 from typing import Iterator, Sequence
 
 from .bba import (
@@ -37,7 +36,7 @@ from .bba import (
     _construct_masks,
     balance_target,
 )
-from .codes import GrayCode, length_bound, _check_pool_count, _set_bits
+from .codes import GrayCode, length_bound, _check_pool_count, _set_bits, _unions
 from .errors import CombinePreconditionError, ConstructionError, NoJoiningAddressError
 from .validate import validate
 
@@ -67,7 +66,7 @@ def combine_pair(light: GrayCode, heavy: GrayCode) -> GrayCode:
             "subset condition failed: the last address of the lighter code is "
             "not contained in the first address of the heavier code"
         )
-    for j, u in enumerate(_unions(light), start=1):
+    for j, u in enumerate(_unions(light.masks), start=1):
         if u == head:
             raise CombinePreconditionError(
                 f"joining union duplicates consecutive union {j} of the lighter code"
@@ -110,16 +109,11 @@ def flip_complement(code: GrayCode, closing: int) -> GrayCode:
         raise ValueError("closing union must contain the last address")
     if closing.bit_count() != code.r + 1:
         raise ValueError(f"closing union must have weight {code.r + 1}")
-    path = _unions(code) + [closing]
+    path = _unions(code.masks) + [closing]
     if closing in path[:-1]:
         raise ValueError("closing union duplicates a consecutive union of the code")
     full = (1 << code.m) - 1
     return GrayCode(code.m, code.m - code.r - 1, [full ^ u for u in path])
-
-
-def _unions(code: GrayCode) -> list[int]:
-    """Masks of the code's consecutive unions."""
-    return [a | b for a, b in zip(code.masks, code.masks[1:])]
 
 
 @dataclass(frozen=True)
@@ -299,8 +293,7 @@ class _RecursiveCombiner:
         """
         last = self.masks[-1]
         core = last & ~(1 << self.consumed[-1])
-        block = self.masks[-self.lengths[-1]:]
-        taken = set(map(or_, block, block[1:]))
+        taken = set(_unions(self.masks[-self.lengths[-1]:]))
         # An iterative block must fit the remaining length and its own bound.
         cap = min(self.n - len(self.masks), length_bound(width - 1, self.r - 1))
         out = []
@@ -636,7 +629,7 @@ def _maximal_by_flip(m, r, rng) -> GrayCode:
         return GrayCode(m, r, [full ^ 1, full ^ 2])
     src_r = m - r - 1
     src, tail = _maximal_with_closing(m, src_r, rng)
-    head = _fresh_superset(m, src.masks[0], set(_unions(src)) | {tail})
+    head = _fresh_superset(m, src.masks[0], set(_unions(src.masks)) | {tail})
     # Any address inside ``head`` placed before the source makes ``head`` the
     # first union of the path; only the unions are complemented.
     lead = head ^ 1 << _set_bits(src.masks[0])[0]

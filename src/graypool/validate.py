@@ -9,10 +9,9 @@ Reports are exhaustive: every violation is listed, not just the first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import or_
 from typing import Iterable
 
-from .codes import BalanceVector, GrayCode, balance_of, length_bound
+from .codes import BalanceVector, GrayCode, _unions, balance_of, length_bound
 
 DISTINCT_ADDRESSES = "distinct-addresses"
 DISTINCT_OR_SUMS = "distinct-or-sums"
@@ -74,7 +73,7 @@ def validate(code: GrayCode) -> ValidationReport:
         if (masks[j] ^ masks[j + 1]).bit_count() != 2:
             violations.append(Violation(ADJACENT_DISTANCE, (j + 1, j + 2)))
 
-    violations += _repeats(map(or_, masks, masks[1:]), DISTINCT_OR_SUMS)
+    violations += _repeats(_unions(masks), DISTINCT_OR_SUMS)
 
     return ValidationReport(
         is_valid=not violations,

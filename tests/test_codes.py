@@ -2,9 +2,11 @@ import json
 import math
 import random
 import tracemalloc
+from array import array
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graypool import (
     BalanceVector,
@@ -19,6 +21,7 @@ from graypool import (
 from graypool.codes import (
     _code_from_csv,
     _code_to_csv,
+    _columns,
     _set_bits,
     code_to_json,
     indices_from_mask,
@@ -95,6 +98,14 @@ def test_code_holds_masks_and_builds_address_views(code_5_2_10):
     assert BalanceVector(()).deviation == 0
 
 
+@pytest.mark.parametrize("masks", [[1.0, 2], [1, True], [1, 2.0**70]])
+def test_code_rejects_masks_that_are_not_ints(masks):
+    # A bool is an int subclass and a float compares like one, so the range
+    # check alone lets both through to readers that need int methods.
+    with pytest.raises(ValueError, match="is not an int"):
+        GrayCode(3, 1, masks)
+
+
 def test_balance_examples(code_5_2_10, code_6_2_15):
     bal = balance_of(code_5_2_10)
     assert bal.counts == (4, 4, 4, 4, 4)
@@ -109,6 +120,67 @@ def test_balance_examples(code_5_2_10, code_6_2_15):
 def test_balance_counts_sum_to_total_weight(masks):
     code = GrayCode(6, 2, masks)
     assert sum(balance_of(code).counts) == sum(x.bit_count() for x in masks)
+
+
+def _reference_columns(masks):
+    """Bit-by-bit transpose: peel each mask's lowest set bit into its pool's column."""
+    columns = {}
+    for j, x in enumerate(masks):
+        while x:
+            low = x & -x
+            p = low.bit_length() - 1
+            columns[p] = columns.get(p, 0) | 1 << j
+            x ^= low
+    return columns
+
+
+def _reference_balance(code):
+    """The per-address occupancy count that ``balance_of`` replaced."""
+    counts = [0] * code.m
+    for x in code.masks:
+        for i in _set_bits(x):
+            counts[i] += 1
+    return tuple(counts)
+
+
+# Pools on both sides of the 32- and 64-pool word boundaries.
+EDGE_POOLS = (0, 1, 30, 31, 32, 33, 63, 64, 65, 95, 96, 127, 128)
+
+
+@st.composite
+def pool_sets_and_masks(draw):
+    """Width, and masks over a few pools of it (none for all-zero masks),
+    up to 10^5 pools wide and on both sides of 4096 masks long."""
+    width = draw(st.sampled_from([1, 33, 65, 200, 10**5]))
+    pools = draw(
+        st.lists(st.sampled_from(EDGE_POOLS) | st.integers(0, width - 1), max_size=8, unique=True)
+    )
+    pools = [p for p in pools if p < width]
+    n = draw(st.sampled_from([0, 1, 2, 4095, 4096, 4097, 8193]) | st.integers(0, 300))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = draw(st.sampled_from([0.05, 0.5, 1.0]))
+    masks = [sum(1 << p for p in pools if rng.random() < density) for _ in range(n)]
+    return width, masks
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool_sets_and_masks())
+@example((1, []))
+@example((65, [0] * 4097))
+def test_columns_match_the_bit_by_bit_transpose(width_and_masks):
+    width, masks = width_and_masks
+    assert _columns(masks) == _reference_columns(masks)
+    code = GrayCode(width, 0, masks)
+    assert balance_of(code).counts == _reference_balance(code)
+
+
+def test_columns_visit_only_the_words_that_hold_a_pool():
+    # Three pools 50,000 apart: three words of 32 pools, not 3125.
+    masks = [1, 1 << 50000, 1 << 99999]
+    with mock.patch("graypool.codes.array", wraps=array) as spy:
+        assert _columns(masks) == {0: 0b1, 50000: 0b10, 99999: 0b100}
+    # One call sizes the word, then one per word visited.
+    assert spy.call_count == 4
 
 
 @pytest.mark.parametrize(
@@ -210,7 +282,7 @@ json_values = st.recursive(
 
 @st.composite
 def codes_and_extras(draw):
-    m = draw(st.integers(1, 20))
+    m = draw(st.integers(1, 70))
     r = draw(st.integers(0, m))
     # Draw from a few masks so that duplicates are common; 0 is among them.
     pool = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=6)) + [0]

@@ -444,3 +444,22 @@ def test_decoder_memory_does_not_grow_with_m():
         "exact-pair", "ambiguous", "error-false-positive", "error-false-negative", "exact-pair"
     ]
     assert peak < 1 << 20
+
+
+def test_column_build_memory_stays_near_what_it_keeps():
+    # 10^5 weight-8 masks over 24 pools keep 24 columns of 10^5 bits, about
+    # 0.3 MB. The transpose formats at most 4096 masks per binary string, so
+    # the build peaks well under 2 MB rather than at 32 bytes per mask.
+    rng = random.Random(0)
+    drawn = (sum(1 << p for p in rng.sample(range(24), 8)) for _ in range(10**5 + 8000))
+    masks = list(dict.fromkeys(drawn))[: 10**5]
+    lookup = _MaskLookup(24, 8, masks, {x: j for j, x in enumerate(masks, start=1)})
+    pmask = masks[0] & (masks[0] - 1)
+    tracemalloc.start()
+    try:
+        found = lookup._count(pmask, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == sum(1 << j for j, x in enumerate(masks, start=1) if x & pmask == pmask)
+    assert peak < 2 << 20

@@ -27,14 +27,13 @@ from graypool import (
     validate,
 )
 from graypool.bba import SearchBudget, _construct_masks
-from graypool.codes import _set_bits, mask_from_indices
+from graypool.codes import _set_bits, _unions, mask_from_indices
 from graypool.recombine import (
     _RecursiveCombiner,
     _fresh_superset,
     _maximal_base,
     _maximal_with_closing,
     _pool_table,
-    _unions,
 )
 
 
@@ -98,7 +97,7 @@ def test_row_permutation_rejects_non_bijection(code_5_2_10):
 
 def closing_union(code):
     """The smallest weight-(r+1) superset of the last address that is not a union."""
-    return _fresh_superset(code.m, code.masks[-1], set(_unions(code)))
+    return _fresh_superset(code.m, code.masks[-1], set(_unions(code.masks)))
 
 
 def test_closing_union_of_full_length_code_is_exhausted(code_5_2_10):
@@ -127,7 +126,7 @@ def test_flip_complement_builds_heavy_code(code_5_1_5):
 
 def test_flip_complement_is_an_involution_on_the_path(code_5_1_5):
     closing = closing_union(code_5_1_5)
-    path = _unions(code_5_1_5) + [closing]
+    path = _unions(code_5_1_5.masks) + [closing]
     flipped = flip_complement(code_5_1_5, closing)
     full = (1 << 5) - 1
     assert [full ^ x for x in flipped.masks] == path
@@ -139,7 +138,7 @@ def test_flip_complement_rejects_bad_closing(code_5_1_5):
         (mask_from_indices((1, 2, 3), 5), "must have weight 2"),
         (mask_from_indices((1, 2), 5), "must contain the last address"),
         (code_5_1_5.masks[-1] | 1 << 5, "out of range for m=5"),
-        (_unions(code_5_1_5)[-1], "duplicates a consecutive union"),
+        (_unions(code_5_1_5.masks)[-1], "duplicates a consecutive union"),
     ]:
         with pytest.raises(ValueError, match=message):
             flip_complement(code_5_1_5, bad)
@@ -267,7 +266,7 @@ def test_every_union_holds_its_blocks_consumed_pool():
             ends = list(accumulate(trace.component_lengths))
             for start, end, pool in zip([0, *ends], ends, trace.consumed_pools):
                 bit = 1 << (pool - 1)
-                unions = _unions(GrayCode(m, r, code.masks[start : end + 1]))
+                unions = _unions(code.masks[start : end + 1])
                 assert all(u & bit for u in unions), (m, r, n, seed, pool)
                 assert not any(x & bit for x in code.masks[end:]), (m, r, n, seed, pool)
     # (14, 3, 350) and (14, 4, 950) run out of this budget at seeds 0-2.
@@ -435,7 +434,7 @@ def test_build_maximal_meets_its_definition(data):
         again, closing = _maximal_with_closing(m, r, random.Random(seed))
         assert again.masks == code.masks
         assert closing & code.masks[-1] == code.masks[-1] and closing.bit_count() == r + 1
-        assert closing not in _unions(code)
+        assert closing not in _unions(code.masks)
     else:
         assert build_maximal(m, r, seed=seed).masks == code.masks
 
@@ -468,7 +467,7 @@ def test_flip_source_first_address_has_a_fresh_superset(m, r):
         first = src.masks[0]
         assert first == 1 | top
         supersets = {first | 1 << z for z in range(m) if not first >> z & 1}
-        used = supersets & (set(_unions(src)) | {tail})
+        used = supersets & (set(_unions(src.masks)) | {tail})
         assert len(supersets) == r + 1
         assert used == {first | 0b10, first | 1 << (m - s)}, (m, r, seed)
 
