@@ -89,6 +89,15 @@ def _check_request(m: int, r: int, n: int) -> None:
         )
 
 
+def _checked(code: GrayCode, n: int) -> GrayCode:
+    """Return a constructed code once ``validate`` passes it and it has length n."""
+    report = validate(code)
+    if not report.is_valid or code.n != n:
+        found = f"n={code.n} of {n}, {list(report.violations[:3])}"
+        raise RuntimeError(f"internal error: constructed code fails validation: {found}")
+    return code
+
+
 def _path_search(
     m: int,
     start: int,
@@ -258,8 +267,4 @@ def bba(
     rng = random.Random(seed)
     state = SearchBudget(budget, time_limit)
     masks, _ = _construct_masks(m, r, n, first_address, balance_target(m, r, n), rng, state)
-    code = GrayCode(m, r, masks)
-    report = validate(code)
-    if not report.is_valid:
-        raise RuntimeError(f"internal error: constructed code fails validation: {report.violations[:3]}")
-    return code
+    return _checked(GrayCode(m, r, masks), n)

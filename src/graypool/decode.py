@@ -286,14 +286,16 @@ class PoolDecoder:
         return self.decode_mask(mask_from_indices(positives, self.m), allow_single)
 
     def decode_mask(self, pmask: int, allow_single: bool = True) -> DecodeResult:
-        """Decode an int mask of positive pools, bit i-1 for pool i. A memo
-        hit checks nothing, so a non-int raises ``TypeError`` only on a miss;
-        ``decode`` is the checked edge."""
+        """Decode a non-negative int mask of positive pools, bit i-1 for pool i.
+        A memo hit checks nothing: a non-int raises ``TypeError`` and a
+        negative int ``ValueError`` only on a miss; ``decode`` is the checked edge."""
         exact = self._exact.get(pmask)
         if exact is not None:
             return exact
         if not isinstance(pmask, int):
             raise TypeError(f"decode_mask takes an int mask, got {type(pmask).__name__}")
+        if pmask < 0:
+            raise ValueError(f"decode_mask takes a non-negative mask, got {pmask}")
         r = self.r
         k = pmask.bit_count()
         if k == r + 1:

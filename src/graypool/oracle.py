@@ -108,8 +108,6 @@ def exhaustive_max(m: int, r: int, node_limit: int = DEFAULT_NODE_LIMIT) -> Orac
     once a code meets the length bound, since nothing longer can exist.
     """
     _check_pool_count(m)
-    if not 1 <= r <= m:
-        raise ValueError(f"weight {r} out of range 1..{m}")
     bound = length_bound(m, r)
     best: list[int] = []
 

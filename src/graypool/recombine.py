@@ -16,8 +16,8 @@ middle-levels graph, which exists for every r by the middle levels theorem
 (Mütze, Proc. LMS 2016; Gregor, Mütze & Nummenpalo, Discrete Analysis 2018),
 and is built from two perfect matchings glued along 6-cycles, with no search.
 Only what can fail is guarded: an rcbba join is checked against the block
-it leaves alone (``_RecursiveCombiner``), and the flip always finds its
-leading union (``_maximal_by_flip``): build_maximal fails only on a stalled base.
+it leaves alone (``_RecursiveCombiner``), and the flip's leading union has
+a proven closed form (``_maximal_by_flip``): build_maximal fails only on a stalled base.
 ``_pool_table`` is the one place where a block's pools are relabelled, for
 rcbba's blocks, its closing search and ``build_maximal``'s combinations.
 """
@@ -33,12 +33,12 @@ from .bba import (
     DEFAULT_BUDGET,
     SearchBudget,
     _check_request,
+    _checked,
     _construct_masks,
     balance_target,
 )
-from .codes import GrayCode, length_bound, _check_pool_count, _set_bits, _unions
+from .codes import GrayCode, length_bound, _set_bits, _unions
 from .errors import CombinePreconditionError, ConstructionError, NoJoiningAddressError
-from .validate import validate
 
 
 def combine_pair(light: GrayCode, heavy: GrayCode) -> GrayCode:
@@ -86,11 +86,6 @@ def apply_row_permutation(code: GrayCode, perm: Sequence[int]) -> GrayCode:
 
 def _remap_mask(mask: int, table: Sequence[int]) -> int:
     return sum(1 << table[i] for i in _set_bits(mask))
-
-
-def _fresh_superset(m: int, mask: int, used: set[int]) -> int | None:
-    """The first ``mask | {z}`` in ascending z that is not in ``used``, if any."""
-    return next((u for z in range(m) if (u := mask | 1 << z) != mask and u not in used), None)
 
 
 def flip_complement(code: GrayCode, closing: int) -> GrayCode:
@@ -354,11 +349,7 @@ def rcbba_detailed(
     _check_request(m, r, n)
     state = SearchBudget(budget, time_limit)
     builder = _RecursiveCombiner(m, r, n, balance_target(m, r, n), random.Random(seed), state)
-    code = GrayCode(m, r, builder.run())
-    report = validate(code)
-    if not report.is_valid or code.n != n:
-        raise RuntimeError("internal error: combined code fails validation")
-    return code, builder.trace()
+    return _checked(GrayCode(m, r, builder.run()), n), builder.trace()
 
 
 def rcbba(
@@ -388,20 +379,13 @@ def build_maximal(m: int, r: int, *, seed: int = 0) -> GrayCode:
     extended by one closing union at each end. ``seed`` draws the pool
     permutation that relabels each base.
     """
-    _check_pool_count(m)
-    if r < 1:
-        raise ValueError("weight must be at least 1")
-    if m < r + 1:
-        raise ValueError(f"pool count must be at least r+1, got m={m}, r={r}")
+    _check_request(m, r, 1)
     rng = random.Random(seed)
     if m >= 2 * r + 1:
         code, _ = _maximal_with_closing(m, r, rng)
     else:
         code = _maximal_by_flip(m, r, rng)
-    report = validate(code)
-    if not report.is_valid or code.n != length_bound(m, r):
-        raise RuntimeError("internal error: maximal construction failed validation")
-    return code
+    return _checked(code, length_bound(m, r))
 
 
 def _maximal_with_closing(m, r, rng) -> tuple[GrayCode, int]:
@@ -615,13 +599,13 @@ def _flip(cycles, six) -> None:
 def _maximal_by_flip(m, r, rng) -> GrayCode:
     """Maximal (m, r) code for r+1 <= m <= 2r via a complemented union path.
 
-    For r+1 < m the path is the maximal (m, s) code's, s = m-r-1, led by a
-    fresh superset ``head`` of its first address and closed by ``tail``.
+    For r+1 < m the path is the maximal (m, s) code's, s = m-r-1, led by
+    ``first | {2}`` for its first address ``first`` and closed by ``tail``.
     As m >= 2s+2, the chain of lighter codes (m, s), (m-1, s-1), ... never
-    meets a base and ends at the singleton code (m-s+1, 1). So the first
-    address is pool 0 plus the top s-1 pools, and of its r+1 >= 3 supersets
-    only two are used, that code's {0, 1} and closing {0, m-s} plus those
-    pools (the next join, or ``tail`` for s = 1): ``head`` always exists.
+    meets a base and ends at the singleton code (m-s+1, 1). So ``first`` is
+    pool 0 plus the top s-1 pools, and of its supersets only two are used,
+    that code's {0, 1} and closing {0, m-s} plus those pools (the next join,
+    or ``tail`` for s = 1). As m-s >= s+2 >= 3, ``first | {2}`` is fresh.
     """
     full = (1 << m) - 1
     if r == m - 1:
@@ -629,8 +613,6 @@ def _maximal_by_flip(m, r, rng) -> GrayCode:
         return GrayCode(m, r, [full ^ 1, full ^ 2])
     src_r = m - r - 1
     src, tail = _maximal_with_closing(m, src_r, rng)
-    head = _fresh_superset(m, src.masks[0], set(_unions(src.masks)) | {tail})
-    # Any address inside ``head`` placed before the source makes ``head`` the
-    # first union of the path; only the unions are complemented.
-    lead = head ^ 1 << _set_bits(src.masks[0])[0]
-    return flip_complement(GrayCode(m, src_r, (lead,) + src.masks), tail)
+    # The address ``first`` less pool 0 plus pool 2, placed before the source,
+    # makes ``first | {2}`` the path's first union; only unions are complemented.
+    return flip_complement(GrayCode(m, src_r, (src.masks[0] ^ 0b101,) + src.masks), tail)

@@ -206,19 +206,20 @@ def simulate_sweep(
 
     full = (1 << code.m) - 1
 
-    def flippable(u: int) -> list[int]:
-        """The single-pool masks an error can flip in the outcome of union u."""
-        return [1 << p for p in _set_bits(u if error_type == FALSE_NEGATIVE else full & ~u)]
+    def flippable(u: int) -> tuple[int, ...]:
+        """The pools an error can flip in the outcome of union u."""
+        return _set_bits(u if error_type == FALSE_NEGATIVE else full & ~u)
 
     def outcomes(e: int) -> Iterator[int]:
         if mode == "exhaustive":
             for u in unions:
-                for flips in combinations(flippable(u), e):
+                for flips in combinations([1 << p for p in flippable(u)], e):
                     yield u ^ sum(flips)
         else:
+            # ``sample`` draws by position, so only the drawn pools become masks.
             for _ in range(samples):
                 u = unions[rng.randrange(len(unions))]
-                yield u ^ sum(rng.sample(flippable(u), e))
+                yield u ^ sum([1 << p for p in rng.sample(flippable(u), e)])
 
     def dropout_count(pmask: int) -> int:
         found = decoder.addr_lookup.find(pmask, 1)

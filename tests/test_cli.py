@@ -157,6 +157,13 @@ def test_infeasible_construction_exits_2(capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m, r", [(3, 3), (5, 0)])
+def test_maximal_construction_rejects_a_weight_outside_the_request_domain(capsys, m, r):
+    assert main(["construct", "--alg", "maximal", "--m", str(m), "--r", str(r)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"graypool: error: weight must satisfy 1 <= r < m, got r={r}, m={m}\n"
+
+
 def test_invalid_code_file_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,1\n1,1\n0,0\n")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from conftest import INVALID_CODES, small_valid_codes
-from graypool import GrayCode, PoolDecoder, partition_items, rcbba
+from graypool import GrayCode, PoolDecoder, build_maximal, partition_items, rcbba
 from graypool.codes import _set_bits
 from graypool.decode import DecodeResult, _bit_sums, _MaskLookup
 
@@ -298,6 +298,21 @@ def test_decode_mask_on_a_memo_miss_rejects_a_non_int(code_5_2_10, pmask):
     # the mask reaches the type check instead of failing on an int method.
     with pytest.raises(TypeError, match="decode_mask takes an int mask"):
         PoolDecoder(code_5_2_10).decode_mask(pmask)
+
+
+def test_decode_mask_on_a_memo_miss_rejects_a_negative_mask(rcbba_10_3_60):
+    # A negative int has no pools to decode, and on pool columns its set
+    # bits would never run out.
+    with pytest.raises(ValueError, match="decode_mask takes a non-negative mask, got -1"):
+        PoolDecoder(build_maximal(6, 2)).decode_mask(-1)
+    decoder = PoolDecoder(rcbba_10_3_60)
+    unions = decoder.union_lookup
+    for u in unions.masks:
+        unions.find(u & (u - 1))
+    assert unions._columns is not None
+    for pmask in (-1, -(1 << 40)):
+        with pytest.raises(ValueError, match="non-negative"):
+            decoder.decode_mask(pmask)
 
 
 @pytest.mark.parametrize("m, addresses, requirement", INVALID_CODES)

@@ -30,8 +30,8 @@ from graypool.bba import SearchBudget, _construct_masks
 from graypool.codes import _set_bits, _unions, mask_from_indices
 from graypool.recombine import (
     _RecursiveCombiner,
-    _fresh_superset,
     _maximal_base,
+    _maximal_by_flip,
     _maximal_with_closing,
     _pool_table,
 )
@@ -97,7 +97,8 @@ def test_row_permutation_rejects_non_bijection(code_5_2_10):
 
 def closing_union(code):
     """The smallest weight-(r+1) superset of the last address that is not a union."""
-    return _fresh_superset(code.m, code.masks[-1], set(_unions(code.masks)))
+    last, used = code.masks[-1], set(_unions(code.masks))
+    return next((u for z in range(code.m) if (u := last | 1 << z) != last and u not in used), None)
 
 
 def test_closing_union_of_full_length_code_is_exhausted(code_5_2_10):
@@ -459,7 +460,7 @@ def test_flip_source_first_address_has_a_fresh_superset(m, r):
     # The (m, s) flip source, s = m-r-1, starts with its singleton chain:
     # pool 0 and the top s-1 pools. Of that address's r+1 supersets only
     # the chain's first union and its closing union {0, m-s} are used, as
-    # a union or as the closing union, so a leading union always exists.
+    # a union or as the closing union, so first | {2} is a fresh leading union.
     s = m - r - 1
     top = (1 << m) - (1 << (m - s + 1))
     for seed in range(3):
@@ -470,12 +471,16 @@ def test_flip_source_first_address_has_a_fresh_superset(m, r):
         used = supersets & (set(_unions(src.masks)) | {tail})
         assert len(supersets) == r + 1
         assert used == {first | 0b10, first | 1 << (m - s)}, (m, r, seed)
+        # The flip leads with that union: its complement is the first address.
+        flipped = _maximal_by_flip(m, r, random.Random(seed))
+        assert flipped.masks[0] == (1 << m) - 1 ^ (first | 0b100)
 
 
 def test_build_maximal_rejects_bad_parameters():
-    with pytest.raises(ValueError):
+    # The same request check and message as bba and rcbba.
+    with pytest.raises(ValueError, match=r"^weight must satisfy 1 <= r < m, got r=3, m=3$"):
         build_maximal(3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^weight must satisfy 1 <= r < m, got r=0, m=4$"):
         build_maximal(4, 0)
 
 
@@ -512,6 +517,9 @@ _RECOMBINE = importlib.import_module("graypool.recombine")
     "module, name, fake, build",
     [
         (_BBA, "_construct_masks", lambda *a: (_REPEATED, [2, 3, 1, 0]), lambda: bba(4, 2, 3)),
+        # A valid path two addresses long, where ten were asked for.
+        (_BBA, "_construct_masks", lambda *a: ([0b0011, 0b0101], [2, 1, 1, 0, 0, 0]),
+         lambda: bba(6, 2, 10)),
         (_RECOMBINE, "_construct_masks", lambda *a: _OVERWEIGHT,
          lambda: rcbba_detailed(4, 2, 3)),
         (_RECOMBINE._RecursiveCombiner, "run", lambda self: _REPEATED,
@@ -521,9 +529,10 @@ _RECOMBINE = importlib.import_module("graypool.recombine")
         (_RECOMBINE, "_maximal_by_flip", lambda m, r, rng: GrayCode(m, r, _REPEATED),
          lambda: build_maximal(4, 2)),
     ],
-    ids=["bba", "rcbba-degenerate", "rcbba-combiner", "maximal-closing", "maximal-flip"],
+    ids=["bba", "bba-short", "rcbba-degenerate", "rcbba-combiner", "maximal-closing",
+         "maximal-flip"],
 )
 def test_constructions_refuse_a_code_that_fails_validation(monkeypatch, module, name, fake, build):
     monkeypatch.setattr(module, name, fake)
-    with pytest.raises(RuntimeError, match="^internal error: .* fail(s|ed) validation"):
+    with pytest.raises(RuntimeError, match="^internal error: constructed code fails validation: "):
         build()

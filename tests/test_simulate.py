@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
 from unittest import mock
@@ -284,3 +285,18 @@ def test_sampled_mode_rejects_fewer_than_one_sample(medium_code, samples):
     wide = GrayCode.from_index_sets(20, 1, [(1,), (2,), (3,), (4,), (5,)])
     with pytest.raises(ValueError, match="at least 1 sample"):
         simulate_sweep(wide, 18, mode="auto", samples=samples, error_type="false-positive")
+
+
+def test_sampled_draw_memory_does_not_grow_with_m():
+    # Each trial on this code has 19998 pools to light. Drawing them as
+    # m-bit masks would hold 19998 masks of up to 20000 bits each per trial,
+    # about 25 MB; drawing pool indices builds masks for the drawn pools only.
+    code = GrayCode(20000, 1, [0b1, 0b10, 0b100])
+    tracemalloc.start()
+    try:
+        records = simulate_sweep(code, 2, mode="sampled", samples=3, error_type="false-positive")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [rec.trials for rec in records] == [3, 3, 3]
+    assert peak < 5 << 20
