@@ -94,7 +94,9 @@ def _set_bits(mask: int) -> tuple[int, ...]:
 
 
 def indices_from_mask(mask: int) -> tuple[int, ...]:
-    """Unpack a bitmask into sorted 1-based pool indices."""
+    """Unpack a non-negative bitmask into sorted 1-based pool indices."""
+    if mask < 0:
+        raise ValueError(f"mask must be non-negative, got {mask}")
     return tuple([i + 1 for i in _set_bits(mask)])
 
 

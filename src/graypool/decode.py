@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, combinations, repeat
 from math import comb
 from operator import and_, or_
 from typing import Iterable
@@ -80,29 +80,6 @@ class DecodeResult:
             "candidate_items": list(self.candidate_items),
             "candidate_pairs": list(self.candidate_pairs),
         }
-
-
-def _bit_sums(bits: list[int], t: int) -> list[int]:
-    """Every mask made of t (0 <= t <= len(bits)) of the ascending
-    single-bit masks ``bits``.
-
-    Each partial sum grows only by bits above its highest bit (b > s), so
-    every t-subset is built once. Above half the bits, the complements of
-    the smaller subsets are cheaper to build.
-    """
-    k = min(t, len(bits) - t)
-    if k == 0:
-        return [sum(bits) if t else 0]
-    if k == 1:
-        sums = bits
-    else:
-        sums = [0]
-        for _ in range(k):
-            sums = [s | b for s in sums for b in bits if b > s]
-    if k < t:
-        total = sum(bits)
-        sums = [total - s for s in sums]
-    return sums
 
 
 class _Plans(dict[tuple[int, int, int], tuple[range, float, float, bool]]):
@@ -212,8 +189,8 @@ class _MaskLookup:
 
     def _enumerate(self, low: int, others: int, counts: range) -> list[int]:
         """Positions of the masks of weight w with t of the pools ``others``
-        and w-t of the pools ``low``, for every t in ``counts``, by looking
-        each one up."""
+        and w-t of the pools ``low``, for every t in ``counts``: each one is
+        built from ``itertools.combinations`` of those pools and looked up."""
         inside = [1 << i for i in _set_bits(low)]
         # A count t > 0 costs C(m-k, t) >= m-k lookups unless t = m-k <= w,
         # so listing the other pools costs no more than enumerating.
@@ -221,9 +198,9 @@ class _MaskLookup:
         get = self.index.get
         found: list[int] = []
         for t in counts:
-            candidates = _bit_sums(inside, self.w - t)
+            candidates = list(map(sum, combinations(inside, self.w - t)))
             if t:
-                candidates = [h | tail for tail in _bit_sums(rest, t) for h in candidates]
+                candidates = [h | s for s in map(sum, combinations(rest, t)) for h in candidates]
             # Positions start at 1, so a miss is the only falsy lookup.
             found += filter(None, map(get, candidates))
         found.sort()
@@ -287,12 +264,12 @@ class PoolDecoder:
 
     def decode_mask(self, pmask: int, allow_single: bool = True) -> DecodeResult:
         """Decode a non-negative int mask of positive pools, bit i-1 for pool i.
-        A memo hit checks nothing: a non-int raises ``TypeError`` and a
-        negative int ``ValueError`` only on a miss; ``decode`` is the checked edge."""
+        A memo hit checks nothing: on a miss a non-int, a bool included, raises
+        ``TypeError`` and a negative int ``ValueError``; ``decode`` is the checked edge."""
         exact = self._exact.get(pmask)
         if exact is not None:
             return exact
-        if not isinstance(pmask, int):
+        if type(pmask) is not int:
             raise TypeError(f"decode_mask takes an int mask, got {type(pmask).__name__}")
         if pmask < 0:
             raise ValueError(f"decode_mask takes a non-negative mask, got {pmask}")

@@ -51,7 +51,7 @@ from operator import sub
 from typing import Callable, Iterator
 
 from .codes import GrayCode, _set_bits
-from .decode import PoolDecoder, _bit_sums
+from .decode import PoolDecoder
 
 CSV_COLUMNS = ("n", "e", "trials", "mean_candidates", "max_candidates", "fraction_of_n")
 
@@ -95,8 +95,8 @@ def _dropout_count(decoder: PoolDecoder, e: int) -> Callable[[int], int]:
     subsets: list[int] = []
     for a in decoder.addr_masks:
         bits = [1 << i for i in _set_bits(a)]
-        subsets += _bit_sums(bits, k - 1)
-        subsets += _bit_sums(bits, k)
+        subsets += map(sum, combinations(bits, k - 1))
+        subsets += map(sum, combinations(bits, k))
     held = Counter(subsets)
     get = held.get
 
@@ -122,7 +122,8 @@ def _grouped_pair_totals(unions: list[int], m: int, e: int) -> tuple[int, int]:
     full = (1 << m) - 1
     groups: dict[int, int | list[int]] = {}
     for j, u in enumerate(unions):
-        for flips in combinations([1 << p for p in _set_bits(full & ~u)], e):
+        # At e = 0 no flip is drawn, so no m-bit mask of an unlit pool is built.
+        for flips in combinations([1 << p for p in _set_bits(full & ~u)] if e else [], e):
             outcome = u ^ sum(flips)
             group = groups.setdefault(outcome, j)
             if group != j:
@@ -213,7 +214,7 @@ def simulate_sweep(
     def outcomes(e: int) -> Iterator[int]:
         if mode == "exhaustive":
             for u in unions:
-                for flips in combinations([1 << p for p in flippable(u)], e):
+                for flips in combinations([1 << p for p in flippable(u)] if e else [], e):
                     yield u ^ sum(flips)
         else:
             # ``sample`` draws by position, so only the drawn pools become masks.

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import signal
 import tracemalloc
 from array import array
 from unittest import mock
@@ -77,6 +78,23 @@ def test_set_bits_keeps_no_tables_for_wide_masks():
     finally:
         tracemalloc.stop()
     assert retained < 1 << 20
+
+
+def test_indices_from_mask_rejects_a_negative_mask():
+    # _set_bits never ends on a negative int, whose shifts and peeled bits
+    # stay negative; the alarm turns such a hang into a failure.
+    def hang(signum, frame):
+        raise TimeoutError("indices_from_mask did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(2)
+    try:
+        for mask in (-1, -(1 << 40)):
+            with pytest.raises(ValueError, match=f"non-negative, got {mask}"):
+                indices_from_mask(mask)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_code_holds_masks_and_builds_address_views(code_5_2_10):

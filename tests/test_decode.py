@@ -11,7 +11,7 @@ from hypothesis import event, given, settings, strategies as st
 from conftest import INVALID_CODES, small_valid_codes
 from graypool import GrayCode, PoolDecoder, build_maximal, partition_items, rcbba
 from graypool.codes import _set_bits
-from graypool.decode import DecodeResult, _bit_sums, _MaskLookup
+from graypool.decode import DecodeResult, _MaskLookup, _Plans
 
 
 def test_exact_pair(code_5_2_10):
@@ -292,10 +292,11 @@ def test_exact_memo_is_lazy_and_holds_exact_pairs_only(code_5_2_10):
     }
 
 
-@pytest.mark.parametrize("pmask", [1.0, 7.0, "7", None])
+@pytest.mark.parametrize("pmask", [1.0, 7.0, "7", None, True, False])
 def test_decode_mask_on_a_memo_miss_rejects_a_non_int(code_5_2_10, pmask):
-    # decode_mask takes ints only; a fresh decoder has nothing memoised, so
-    # the mask reaches the type check instead of failing on an int method.
+    # decode_mask takes ints only, and a bool is not one; a fresh decoder has
+    # nothing memoised, so the mask reaches the type check instead of failing
+    # on an int method or decoding True and False as masks 1 and 0.
     with pytest.raises(TypeError, match="decode_mask takes an int mask"):
         PoolDecoder(code_5_2_10).decode_mask(pmask)
 
@@ -429,20 +430,37 @@ def test_columns_enumeration_and_scan_agree(code, data):
                 assert lookup._enumerate(low, ((1 << m) - 1) ^ low, counts) == expected
 
 
+def plan_row(plans, ks, spare=0, listed=False):
+    """One letter per k lit pools, all of them inside m: V when every mask
+    fits, C when the columns save over enumerating, E otherwise."""
+    row = ""
+    for k in ks:
+        _, for_bits, for_list, every = plans[k, k, spare]
+        row += "V" if every else "C" if (for_list if listed else for_bits) > 0 else "E"
+    return row
+
+
+@pytest.mark.parametrize("n", [1000, 3000])
+def test_plan_decision_table_at_m_18_r_6(n):
+    # Plans depend on (m, w, n) only: w = 7 for the union lookup and w = 6
+    # for the address lookup of an (18, 6, n) code. A price change that
+    # moves a decision shows here.
+    unions, addresses = _Plans(18, 7, n), _Plans(18, 6, n)
+    assert plan_row(unions, range(19)) == "VCCCCCCECCCCCCCCCCV"
+    assert plan_row(unions, range(19), listed=True) == "VCCCCCCECCCCCCCCCCV"
+    assert plan_row(addresses, range(19)) == "VCCCCCECCCCCCCCCCCV"
+    listed = {1000: "VCCCCCECCCCCCCCCCCV", 3000: "VCCCCCEECCCCCCCCCCV"}[n]
+    assert plan_row(addresses, range(19), listed=True) == listed
+    assert plan_row(unions, range(8), spare=1) == "VVCCCCCC"
+    assert plan_row(addresses, range(7), spare=1) == "VVCCCCC"
+
+
 def test_decoder_on_one_address_of_every_pool():
     # r = m: a union would have weight m+1 > m, so the union lookup is empty.
     decoder = PoolDecoder(GrayCode(3, 3, [0b111]))
     assert decoder.decode_mask(0b111).status == "exact-single"
     result = decoder.decode_mask(0b011)
     assert (result.status, result.candidate_items) == ("error-false-negative", (1,))
-
-
-def test_bit_sums_match_combinations():
-    for size in range(9):
-        bits = [1 << p for p in sorted(random.Random(size).sample(range(40), size))]
-        for t in range(size + 1):
-            expected = sorted(sum(c) for c in combinations(bits, t))
-            assert sorted(_bit_sums(bits, t)) == expected
 
 
 def test_decoder_memory_does_not_grow_with_m():

@@ -287,6 +287,26 @@ def test_sampled_mode_rejects_fewer_than_one_sample(medium_code, samples):
         simulate_sweep(wide, 18, mode="auto", samples=samples, error_type="false-positive")
 
 
+@pytest.mark.parametrize("ceiling", [simulate._AUTO_TRIAL_CEILING, 0])
+@pytest.mark.parametrize("error_type", ["false-negative", "false-positive"])
+def test_error_free_level_memory_does_not_grow_with_m(error_type, ceiling):
+    # e = 0 flips no pool. Building a 20000-bit mask for each of the 19998
+    # unlit pools of every union anyway held about 28 MB, on the grouped
+    # path and on the per-trial path that a level above the ceiling takes.
+    code = GrayCode(20000, 1, [0b1, 0b10, 0b100])
+    with mock.patch.object(simulate, "_AUTO_TRIAL_CEILING", ceiling):
+        tracemalloc.start()
+        try:
+            records = simulate_sweep(code, 0, mode="exhaustive", error_type=error_type)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert [(rec.trials, rec.mean_candidates, rec.max_candidates) for rec in records] == [
+        (2, 2.0, 2)
+    ]
+    assert peak < 1 << 20
+
+
 def test_sampled_draw_memory_does_not_grow_with_m():
     # Each trial on this code has 19998 pools to light. Drawing them as
     # m-bit masks would hold 19998 masks of up to 20000 bits each per trial,
