@@ -14,14 +14,12 @@ from .codes import (
 )
 from .errors import (
     BudgetExhaustedError,
-    CombinePreconditionError,
     ConstructionError,
     InfeasibleError,
-    NodeLimitError,
     NoJoiningAddressError,
 )
 from .validate import ValidationReport, Violation, validate
-from .bba import DEFAULT_BUDGET, SearchBudget, balance_target, bba
+from .bba import DEFAULT_BUDGET, balance_target, bba
 from .recombine import (
     CombinationTrace,
     apply_row_permutation,

@@ -22,7 +22,7 @@ from .codes import (
 )
 from .bba import DEFAULT_BUDGET, bba
 from .decode import PoolDecoder, partition_items
-from .errors import ConstructionError, NodeLimitError
+from .errors import ConstructionError
 from .oracle import DEFAULT_NODE_LIMIT, exhaustive_best_balance, exhaustive_max
 from .recombine import build_maximal, rcbba_detailed
 from .simulate import simulate_sweep, sweep_to_csv
@@ -288,9 +288,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConstructionError as exc:
         print(f"graypool: construction failed ({exc.kind}): {exc}", file=sys.stderr)
-        return 2
-    except NodeLimitError as exc:
-        print(f"graypool: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, OverflowError, RecursionError) as exc:
         print(f"graypool: error: {exc}", file=sys.stderr)

@@ -10,7 +10,13 @@ class ConstructionError(Exception):
 
 
 class BudgetExhaustedError(ConstructionError):
+    """A search spent its node or time budget; ``best`` is the best code so far, if any."""
+
     kind = "budget-exhausted"
+
+    def __init__(self, message: str, best=None):
+        super().__init__(message)
+        self.best = best
 
 
 class InfeasibleError(ConstructionError):
@@ -22,17 +28,3 @@ class InfeasibleError(ConstructionError):
 class NoJoiningAddressError(ConstructionError):
     kind = "no-joining-address"
 
-
-class CombinePreconditionError(ValueError):
-    """A pairwise combination precondition failed; the message names the condition."""
-
-
-class NodeLimitError(Exception):
-    """An exhaustive search hit its node limit before finishing.
-
-    ``best`` carries the best object found so far, when one exists.
-    """
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best

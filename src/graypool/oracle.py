@@ -7,7 +7,7 @@ on bba's path-search kernel: from each address they try the next addresses
 in ascending index-tuple order, skip used addresses and unions, and charge
 every address visit to a ``SearchBudget`` whose limit is the node limit;
 ``search_nodes`` is the number of visits. Each search keeps a move memo:
-an address's unions and neighbours are listed once, on its first visit,
+an address's (union, neighbour) pairs are listed once, on its first visit,
 and later visits only filter that list. Exponential by design; keep the
 address count small.
 """
@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .bba import SearchBudget, _check_request, _path_search
 from .codes import GrayCode, length_bound, _check_pool_count, _set_bits
-from .errors import BudgetExhaustedError, NodeLimitError
+from .errors import BudgetExhaustedError
 
 DEFAULT_NODE_LIMIT = 10**7
 
@@ -44,29 +44,20 @@ def _index_order(m: int) -> Callable[[list[int], set[int], list[int] | None], Se
     ``order(path, used, w)`` lists the unused addresses ``b = a - x + z``
     next to the tip ``a`` whose union ``a + z`` is unused too, in ascending
     index-tuple order. On an address's first visit the memo stores its
-    unions and its ``(union, neighbour)`` pairs, the pairs in that order;
-    a later visit returns nothing when every union is used and otherwise
-    filters the pairs.
+    ``(union, neighbour)`` pairs in that order; later visits filter them.
     """
-    moves: dict[int, tuple[frozenset[int], tuple[tuple[int, int], ...]]] = {}
+    moves: dict[int, list[tuple[int, int]]] = {}
     full = (1 << m) - 1
-
-    def listed(a: int) -> tuple[frozenset[int], tuple[tuple[int, int], ...]]:
-        outside = _set_bits(full ^ a)
-        pairs = sorted(
-            ((a | 1 << z, a ^ (1 << x | 1 << z)) for x in _set_bits(a) for z in outside),
-            key=lambda pair: _set_bits(pair[1]),
-        )
-        return frozenset(a | 1 << z for z in outside), tuple(pairs)
 
     def order(path: list[int], used: set[int], w: list[int] | None) -> Sequence[int]:
         a = path[-1]
-        stored = moves.get(a)
-        if stored is None:
-            stored = moves[a] = listed(a)
-        unions, pairs = stored
-        if unions <= used:
-            return ()
+        pairs = moves.get(a)
+        if pairs is None:
+            outside = _set_bits(full ^ a)
+            pairs = moves[a] = sorted(
+                ((a | 1 << z, a ^ (1 << x | 1 << z)) for x in _set_bits(a) for z in outside),
+                key=lambda pair: _set_bits(pair[1]),
+            )
         return [b for u, b in pairs if u not in used and b not in used]
 
     return order
@@ -130,8 +121,9 @@ def exhaustive_best_balance(
     branches whose best reachable deviation already matches the incumbent,
     and the search stops early when the parity lower bound (0 when n*r
     divides by m, else 1) is attained. Raises InfeasibleError when ``n``
-    exceeds the length bound and NodeLimitError when the limit is hit before
-    the enumeration finishes; within the bound it always finds a code (see
+    exceeds the length bound and BudgetExhaustedError, with the best code
+    so far as ``best``, when the limit is hit before the enumeration
+    finishes; within the bound it always finds a code (see
     ``bba._construct_masks``).
     """
     _check_request(m, r, n)
@@ -162,7 +154,7 @@ def exhaustive_best_balance(
     exact, _ = _search(m, r, node_limit, order, goal)
     if not exact:
         partial = GrayCode(m, r, tuple(best_code)) if best_code is not None else None
-        raise NodeLimitError(
+        raise BudgetExhaustedError(
             f"node limit {node_limit} reached before the enumeration finished",
             best=partial,
         )

@@ -38,7 +38,7 @@ from .bba import (
     balance_target,
 )
 from .codes import GrayCode, length_bound, _set_bits, _unions
-from .errors import CombinePreconditionError, ConstructionError, NoJoiningAddressError
+from .errors import ConstructionError, NoJoiningAddressError
 
 
 def combine_pair(light: GrayCode, heavy: GrayCode) -> GrayCode:
@@ -50,27 +50,21 @@ def combine_pair(light: GrayCode, heavy: GrayCode) -> GrayCode:
     first address) differs from every consecutive union of the lighter code.
     """
     if light.n == 0 or heavy.n == 0:
-        raise CombinePreconditionError("combination requires two non-empty codes")
+        raise ValueError("combination requires two non-empty codes")
     if light.m != heavy.m:
-        raise CombinePreconditionError(
-            f"pool counts differ: {light.m} versus {heavy.m}"
-        )
+        raise ValueError(f"pool counts differ: {light.m} versus {heavy.m}")
     if heavy.r != light.r + 1:
-        raise CombinePreconditionError(
-            f"weights must differ by one: got {light.r} and {heavy.r}"
-        )
+        raise ValueError(f"weights must differ by one: got {light.r} and {heavy.r}")
     tail = light.masks[-1]
     head = heavy.masks[0]
     if tail | head != head:
-        raise CombinePreconditionError(
+        raise ValueError(
             "subset condition failed: the last address of the lighter code is "
             "not contained in the first address of the heavier code"
         )
     for j, u in enumerate(_unions(light.masks), start=1):
         if u == head:
-            raise CombinePreconditionError(
-                f"joining union duplicates consecutive union {j} of the lighter code"
-            )
+            raise ValueError(f"joining union duplicates consecutive union {j} of the lighter code")
     m = light.m + 1
     ones = 1 << (m - 1)
     return GrayCode(m, heavy.r, tuple(bits | ones for bits in light.masks) + heavy.masks)

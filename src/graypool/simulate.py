@@ -217,10 +217,22 @@ def simulate_sweep(
                 for flips in combinations([1 << p for p in flippable(u)] if e else [], e):
                     yield u ^ sum(flips)
         else:
-            # ``sample`` draws by position, so only the drawn pools become masks.
+            # ``sample`` draws positions in ``flippable(u)`` from its length
+            # alone, so that list is never built: position p is the lit pool
+            # lit[p], or the unlit pool that p becomes past each lower lit pool.
+            positions = range(pool_count)
             for _ in range(samples):
                 u = unions[rng.randrange(len(unions))]
-                yield u ^ sum([1 << p for p in rng.sample(flippable(u), e)])
+                lit = _set_bits(u)
+                flips = 0
+                for p in rng.sample(positions, e):
+                    if error_type == FALSE_NEGATIVE:
+                        p = lit[p]
+                    else:
+                        for b in lit:
+                            p += b <= p
+                    flips |= 1 << p
+                yield u ^ flips
 
     def dropout_count(pmask: int) -> int:
         found = decoder.addr_lookup.find(pmask, 1)

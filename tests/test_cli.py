@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -375,15 +376,33 @@ def test_malformed_json_code_exits_3(tmp_path, capsys, text, message):
         (["decode", "--code", "{code}", "--positives", "1,x"], 3,
          "graypool: error: expected comma-separated integers, got '1,x'\n"),
         (["oracle", "balance", "--m", "7", "--r", "2", "--n", "18", "--node-limit", "10"], 2,
-         "graypool: node limit 10 reached before the enumeration finished\n"),
+         "graypool: construction failed (budget-exhausted): "
+         "node limit 10 reached before the enumeration finished\n"),
+        (["construct", "--alg", "bba", "--m", "5", "--r", "2", "--n", "11"], 2,
+         "graypool: construction failed (infeasible): "
+         "n=11 exceeds the length bound 10 for (m=5, r=2)\n"),
+        (["construct", "--alg", "bba", "--m", "5", "--r", "2", "--n", "10", "--budget", "5"], 2,
+         "graypool: construction failed (budget-exhausted): node-visit budget of 5 exhausted\n"),
+        (["construct", "--alg", "rcbba", "--m", "5", "--r", "2", "--n", "10"], 2,
+         "graypool: construction failed (no-joining-address): "
+         "all joining addresses exhausted for (m=5, r=2, n=10)\n"),
     ],
-    ids=["decode-bad-positives", "oracle-balance-node-limit"],
+    ids=[
+        "decode-bad-positives",
+        "oracle-balance-node-limit",
+        "bba-infeasible",
+        "bba-budget-exhausted",
+        "rcbba-no-joining-address",
+    ],
 )
 def test_failing_runs_print_one_line_and_nothing_on_stdout(tmp_path, argv, status, err):
     code_path = str(tmp_path / "code.json")
     save_code(build_maximal(5, 2), code_path)
     argv = [code_path if a == "{code}" else a for a in argv]
     assert _run(argv) == (status, "", err)
+    if status == 2:  # every construction failure names its kind
+        kinds = "infeasible|budget-exhausted|no-joining-address"
+        assert re.match(rf"graypool: construction failed \(({kinds})\): ", err)
 
 
 @pytest.mark.parametrize(

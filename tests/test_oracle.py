@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from graypool import (
     InfeasibleError,
-    NodeLimitError,
     balance_of,
     bba,
     exhaustive_best_balance,
@@ -95,8 +94,16 @@ def test_best_balance_rejects_overlong():
 
 def test_best_balance_node_limit():
     # A limit below the path length cannot admit even one complete code.
-    with pytest.raises(NodeLimitError):
+    with pytest.raises(BudgetExhaustedError) as caught:
         exhaustive_best_balance(5, 2, 9, node_limit=4)
+    assert caught.value.best is None
+
+
+def test_best_balance_node_limit_keeps_the_best_code_so_far():
+    with pytest.raises(BudgetExhaustedError) as caught:
+        exhaustive_best_balance(7, 2, 18, node_limit=30)
+    best = caught.value.best
+    assert best.n == 18 and validate(best).is_valid
 
 
 def _every_start_best_balance(m, r, n, node_limit):

@@ -9,7 +9,6 @@ from conftest import BBA_GRID
 from graypool import (
     BudgetExhaustedError,
     CombinationTrace,
-    CombinePreconditionError,
     ConstructionError,
     GrayCode,
     InfeasibleError,
@@ -55,7 +54,7 @@ def test_combine_pair_equals_augmented_concatenation(code_5_1_5, code_5_2_10):
 
 def test_combine_pair_checks_subset_condition(code_5_1_5, code_5_2_10):
     reordered = GrayCode(5, 2, code_5_2_10.masks[::-1])
-    with pytest.raises(CombinePreconditionError, match="subset"):
+    with pytest.raises(ValueError, match="subset"):
         combine_pair(code_5_1_5, reordered)
 
 
@@ -63,16 +62,16 @@ def test_combine_pair_checks_union_freshness():
     light = GrayCode.from_index_sets(4, 1, [(2,), (3,), (1,)])
     heavy = GrayCode.from_index_sets(4, 2, [(1, 3), (3, 4), (2, 4)])
     # The joining union {1,3} duplicates a consecutive union of the light code.
-    with pytest.raises(CombinePreconditionError, match="union"):
+    with pytest.raises(ValueError, match="union"):
         combine_pair(light, heavy)
 
 
 def test_combine_pair_checks_shapes(code_5_1_5, code_5_2_10):
-    with pytest.raises(CombinePreconditionError, match="weights"):
+    with pytest.raises(ValueError, match="weights"):
         combine_pair(code_5_2_10, code_5_2_10)
-    with pytest.raises(CombinePreconditionError, match="pool counts"):
+    with pytest.raises(ValueError, match="pool counts"):
         combine_pair(code_5_1_5, GrayCode(6, 2, code_5_2_10.masks))
-    with pytest.raises(CombinePreconditionError, match="requires two non-empty codes"):
+    with pytest.raises(ValueError, match="requires two non-empty codes"):
         combine_pair(GrayCode(5, 1, ()), code_5_2_10)
 
 

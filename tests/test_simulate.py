@@ -320,3 +320,18 @@ def test_sampled_draw_memory_does_not_grow_with_m():
         tracemalloc.stop()
     assert [rec.trials for rec in records] == [3, 3, 3]
     assert peak < 5 << 20
+
+
+def test_sampled_draw_builds_no_list_of_unlit_pools():
+    # Listing the 19998 unlit pools of a union for every trial held about
+    # 1.1 MB at once; drawing positions and mapping only the drawn ones to
+    # pools stays far below that.
+    code = GrayCode(20000, 1, [0b1, 0b10, 0b100])
+    tracemalloc.start()
+    try:
+        records = simulate_sweep(code, 2, "sampled", 50, 1, "false-positive")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [rec.trials for rec in records] == [50, 50, 50]
+    assert peak < 1 << 18

@@ -18,6 +18,10 @@ with ``max_errors=2``, 300 samples and seed 1 on the three rcbba codes.
 The last code is left out because its exhaustive false-positive levels
 hold an m-bit mask for each of its 10^5 pools.
 
+The fourth line is one sha256 over the ``sweep_to_csv`` bytes of the
+last code's sampled sweeps, 300 samples and seed 1: false negatives with
+``max_errors=1`` and then false positives with ``max_errors=2``.
+
 Codes: bba (10,4,150), (12,3,150) and (14,4,350); rcbba (18,6,3000),
 (16,5,2000) and (20,6,8000); maximal (9,2), (8,3), (40,2) and (70,2),
 whose columns span one, two and three 32-pool words; and a (10^5, 1) code
@@ -40,6 +44,7 @@ from graypool.codes import _code_to_csv, code_to_json  # noqa: E402
 
 EXHAUSTIVE = {"max_errors": 1}
 SAMPLED = {"max_errors": 2, "mode": "sampled", "samples": 300, "seed": 1}
+WIDE = GrayCode(10**5, 1, [1, 1 << 50000, 1 << 99999])
 
 
 def codes():
@@ -50,7 +55,7 @@ def codes():
         yield rcbba(m, r, n, seed=0), (EXHAUSTIVE, SAMPLED)
     for m, r in ((9, 2), (8, 3), (40, 2), (70, 2)):
         yield build_maximal(m, r, seed=0), (EXHAUSTIVE,)
-    yield GrayCode(10**5, 1, [1, 1 << 50000, 1 << 99999]), ()
+    yield WIDE, ()
 
 
 def outcomes(code):
@@ -86,6 +91,11 @@ def main() -> None:
     print(digest.hexdigest())
     print(json.dumps({"answers": answers}))
     print(sweeps.hexdigest())
+    wide = hashlib.sha256()
+    for error_type, max_errors in (("false-negative", 1), ("false-positive", 2)):
+        args = {**SAMPLED, "max_errors": max_errors}
+        wide.update(sweep_to_csv(simulate_sweep(WIDE, error_type=error_type, **args)).encode())
+    print(wide.hexdigest())
 
 
 if __name__ == "__main__":
