@@ -9,12 +9,14 @@ one, and complementing a full union path flips a code between weights r and
 m-r-1. ``rcbba`` drives these pieces: it repeatedly builds short codes with
 the branch-and-bound constructor, augments and permutes them so each one
 exactly fills the occupancy target of one pool, and concatenates, switching
-to a single balance-targeted search over the last 2r pools. ``build_maximal``
-uses the same calculus to reach the length bound exactly, combining codes
-down to built (2r+1, r) bases: each base is a Hamilton cycle of the
-middle-levels graph, which exists for every r by the middle levels theorem
-(Mütze, Proc. LMS 2016; Gregor, Mütze & Nummenpalo, Discrete Analysis 2018),
-and is built from two perfect matchings glued along 6-cycles, with no search.
+to a single balance-targeted search over the pools left at the closing width:
+the narrowest width from 2r up where the remaining length fits, else all m
+pools (``_closing_width``). ``build_maximal`` uses the same calculus to
+reach the length bound exactly, combining codes down to built (2r+1, r)
+bases: each base is a Hamilton cycle of the middle-levels graph, which
+exists for every r by the middle levels theorem (Mütze, Proc. LMS 2016;
+Gregor, Mütze & Nummenpalo, Discrete Analysis 2018), and is built from two
+perfect matchings glued along 6-cycles, with no search.
 Only what can fail is guarded: an rcbba join is checked against the block
 it leaves alone (``_RecursiveCombiner``), and the flip's leading union has
 a proven closed form (``_maximal_by_flip``): build_maximal fails only on a stalled base.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, takewhile
+from math import comb
 from typing import Iterator, Sequence
 
 from .bba import (
@@ -144,8 +147,9 @@ class CombinationTrace:
 class _RecursiveCombiner:
     """Backtracking driver for the iterative combination construction.
 
-    For r = 1, for m <= 2r and for n*r < m there are no iterative blocks:
-    the closing search starts at width m and builds the whole code.
+    Blocks are placed from width m down to the closing width, where one
+    search builds the rest (``_closing_width``). At a closing width of m
+    there are no iterative blocks: the closing search builds the whole code.
 
     The unions stay distinct with no set of them all. Every union inside
     iterative block j, and the join leaving it, holds the pool p_j that the
@@ -161,7 +165,7 @@ class _RecursiveCombiner:
         self.m = m
         self.r = r
         self.n = n
-        self.final_width = m if r == 1 or m <= 2 * r or w_ini[m - 1] == 0 else 2 * r
+        self.final_width = _closing_width(m, r, n)
         self.rng = rng
         self.budget = budget
         self.masks: list[int] = []
@@ -298,6 +302,30 @@ class _RecursiveCombiner:
         return out
 
 
+# The closing width must hold its estimated remaining length with room to
+# spare: the estimate may be at most 4/5 of the width's length bound. A
+# ratio of ints keeps the test exact where C(m, r) overflows a float.
+_FIT_NUM, _FIT_DEN = 4, 5
+
+
+def _closing_width(m: int, r: int, n: int) -> int:
+    """The narrowest width w >= 2r whose remaining length fits, else m.
+
+    r = 1, m <= 2r and n*r < m leave no iterative block: they close at m.
+    Otherwise each block takes about a share r/j of what is left at width
+    j, so the length left for a closing at width w is about
+    n*prod_{j=w+1..m}(1 - r/j) = n*C(w, r)/C(m, r). Above 2r the bound is
+    C(w, r), so the estimate over the bound is n/C(m, r) at every such
+    width: 2r+1 fits exactly when m does.
+    """
+    if r == 1 or m <= 2 * r or n * r < m:
+        return m
+    total = comb(m, r)
+    if _FIT_DEN * n * comb(2 * r, r) <= _FIT_NUM * length_bound(2 * r, r) * total:
+        return 2 * r
+    return 2 * r + 1 if _FIT_DEN * n <= _FIT_NUM * total else m
+
+
 def _pool_table(src: int, dst: int, active: int, m: int) -> list[int]:
     """The one pool relabelling: row i of a block becomes pool ``table[i]``.
 
@@ -336,9 +364,11 @@ def rcbba_detailed(
     become its per-pool target. Dead ends backtrack over the candidate
     joining addresses; the node budget is shared by every embedded search.
 
-    The closing width is 2r, or m for r = 1, for m <= 2r and for n*r < m:
-    those requests have no iterative block, and the closing search builds
-    the whole code towards the ``balance_target`` of (m, r, n).
+    The closing width is the narrowest w >= 2r at which the estimated
+    remaining length n*prod_{j=w+1..m}(1 - r/j) is at most 4/5 of
+    ``length_bound(w, r)``, else m; it is m for r = 1, m <= 2r and n*r < m.
+    At m there is no iterative block, and the closing search builds the
+    whole code towards the ``balance_target`` of (m, r, n).
     """
     _check_request(m, r, n)
     state = SearchBudget(budget, time_limit)

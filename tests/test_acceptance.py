@@ -39,12 +39,12 @@ from conftest import (
 )
 
 # Block lengths are pinned to per-pool occupancy targets, so at these two
-# near-bound points the closing regime of the recursive combination is often
-# left needing more addresses than a width-2r code can hold; see the
-# geometric remaining-length estimate n * prod_{j=2r+1..m} (1 - r/j) against
-# the (2r, r) length bound. Runs there may exhaust the budget while
-# backtracking over joining addresses, though some seeds succeed; none may
-# return a short code.
+# near-bound points a closing regime at width 2r would be left needing more
+# addresses than a width-2r code can hold: the geometric remaining-length
+# estimate n * prod_{j=2r+1..m} (1 - r/j) exceeds the (2r, r) length bound.
+# No width between 2r and m fits with rcbba's margin either, so rcbba closes
+# them at width m, one balance-targeted search over the whole code, and
+# criterion 5 requires every run there to build.
 RC_STRUCTURALLY_INFEASIBLE = {(14, 3, 350), (14, 4, 950)}
 
 
@@ -151,6 +151,7 @@ def test_criterion_5_deviation_theorem():
         assert deviation <= trace.deviation_bound, (m, r, n, i)
         checked += 1
     assert checked >= 35
+    assert structural == 0
     print(
         f"\n  criterion 5: bound held on {checked} runs,"
         f" {vacuous} runs closed early, {structural} near-bound runs failed"

@@ -383,9 +383,9 @@ def test_malformed_json_code_exits_3(tmp_path, capsys, text, message):
          "n=11 exceeds the length bound 10 for (m=5, r=2)\n"),
         (["construct", "--alg", "bba", "--m", "5", "--r", "2", "--n", "10", "--budget", "5"], 2,
          "graypool: construction failed (budget-exhausted): node-visit budget of 5 exhausted\n"),
-        (["construct", "--alg", "rcbba", "--m", "5", "--r", "2", "--n", "10"], 2,
+        (["construct", "--alg", "rcbba", "--m", "8", "--r", "2", "--n", "4"], 2,
          "graypool: construction failed (no-joining-address): "
-         "all joining addresses exhausted for (m=5, r=2, n=10)\n"),
+         "all joining addresses exhausted for (m=8, r=2, n=4)\n"),
     ],
     ids=[
         "decode-bad-positives",

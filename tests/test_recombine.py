@@ -1,6 +1,8 @@
 import importlib
 import random
+from fractions import Fraction
 from itertools import accumulate, combinations
+from math import prod
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -29,6 +31,7 @@ from graypool.bba import SearchBudget, _construct_masks
 from graypool.codes import _set_bits, _unions, mask_from_indices
 from graypool.recombine import (
     _RecursiveCombiner,
+    _closing_width,
     _maximal_base,
     _maximal_by_flip,
     _maximal_with_closing,
@@ -164,11 +167,14 @@ def test_rcbba_rejects_overlong_request():
 
 
 def test_rcbba_near_bound_requests_can_exhaust():
-    # The block lengths are pinned to pool targets, so the closing regime is
-    # left needing 6 addresses where only 5 fit; the run must fail, not
-    # return a short code.
-    with pytest.raises(ConstructionError):
-        rcbba(6, 2, 15, budget=10**5)
+    # At the length bound no closing width narrower than m fits the
+    # remaining length, so one search over all six pools builds the code.
+    code, trace = rcbba_detailed(6, 2, 15, budget=10**5)
+    assert validate(code).is_valid and code.n == 15
+    assert trace.consumed_pools == () and trace.component_lengths == (15,)
+    # A budget too small for that search fails; it never returns a short code.
+    with pytest.raises(BudgetExhaustedError):
+        rcbba(6, 2, 15, budget=100)
 
 
 @pytest.mark.parametrize("m", range(2, 8))
@@ -232,19 +238,35 @@ def test_rcbba_builds_degenerate_requests_by_one_search(seed):
         assert outcome == _one_search(m, r, n, seed, budget), (m, r, n)
 
 
+class _CountingCombiner(_RecursiveCombiner):
+    """Counts the placed blocks a run takes off again."""
+
+    removed = 0
+
+    def _remove_block(self, charged):
+        self.removed += 1
+        super()._remove_block(charged)
+
+
+# How many placed blocks these runs take off again; the other cases below
+# take none off.
+_BACKTRACKS = {(13, 3, 100, 4): 14, (14, 4, 70, 2): 12}
+
+
 @pytest.mark.parametrize(
     "m,r,n,seed",
-    # (9, 3, 70) and (10, 3, 100) backtrack over placed blocks with these
-    # seeds, (14, 3, 150) closes without a closing block, (7, 1, 6) places none.
-    [(9, 3, 70, 4), (10, 3, 100, 10), (12, 4, 350, 0), (14, 3, 150, 4), (7, 1, 6, 1)],
+    # (12, 4, 350) closes at 2r+1, (14, 3, 150) closes without a closing
+    # block, (7, 1, 6) places none.
+    [(13, 3, 100, 4), (14, 4, 70, 2), (12, 4, 350, 0), (14, 3, 150, 4), (7, 1, 6, 1)],
 )
 def test_combiner_residuals_are_the_target_less_the_placed_blocks(m, r, n, seed):
     # Each placed block is charged to the residuals through its pool table,
     # all-one row included, and refunded when it is taken off again; the
     # closing block is not charged. So a consumed pool ends at zero.
     target = balance_target(m, r, n)
-    builder = _RecursiveCombiner(m, r, n, target, random.Random(seed), SearchBudget(10**5))
+    builder = _CountingCombiner(m, r, n, target, random.Random(seed), SearchBudget(10**5))
     masks = builder.run()
+    assert builder.removed == _BACKTRACKS.get((m, r, n, seed), 0)
     placed = GrayCode(m, r, masks[: sum(builder.lengths[: len(builder.consumed)])])
     assert builder.w_res == [t - c for t, c in zip(target, balance_of(placed).counts)]
     assert all(builder.w_res[pool] == 0 for pool in builder.consumed)
@@ -269,8 +291,65 @@ def test_every_union_holds_its_blocks_consumed_pool():
                 unions = _unions(code.masks[start : end + 1])
                 assert all(u & bit for u in unions), (m, r, n, seed, pool)
                 assert not any(x & bit for x in code.masks[end:]), (m, r, n, seed, pool)
-    # (14, 3, 350) and (14, 4, 950) run out of this budget at seeds 0-2.
-    assert built == 3 * len(BBA_GRID) - 6
+    assert built == 3 * len(BBA_GRID)
+
+
+# The closing width of the design workload's requests: the long codes keep
+# 2r, the two nearest the bound close at m, and these grid points at 2r+1.
+# Every other bba grid point closes at 2r.
+_DESIGN_WIDTHS = {
+    (18, 6, 3000): 12, (18, 6, 10000): 12, (20, 6, 8000): 12, (16, 5, 2000): 10,
+    (14, 3, 350): 14, (14, 4, 950): 14,
+    (10, 4, 150): 9, (12, 3, 150): 7, (12, 4, 350): 9, (14, 4, 750): 9,
+}
+
+
+def test_closing_width_of_the_design_requests():
+    widths = {(m, r, n): 2 * r for m, r, n in BBA_GRID} | _DESIGN_WIDTHS
+    assert {request: _closing_width(*request) for request in widths} == widths
+
+
+def _narrowest_fitting_width(m, r, n):
+    """The closing-width rule as stated: m for the requests with no iterative
+    block, else the narrowest w >= 2r whose remaining-length estimate
+    n*prod_{j=w+1..m}(1 - r/j) is at most 4/5 of its length bound, else m."""
+    if r == 1 or m <= 2 * r or n * r < m:
+        return m
+    for w in range(2 * r, m + 1):
+        estimate = n * prod(Fraction(j - r, j) for j in range(w + 1, m + 1))
+        if estimate <= Fraction(4, 5) * length_bound(w, r):
+            return w
+    return m
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_closing_width_is_the_narrowest_that_fits(data):
+    m = data.draw(st.integers(2, 30))
+    # The second strategies favour m > 2r and n near the bound, where all
+    # three widths occur.
+    r = data.draw(st.integers(1, m - 1) | st.integers(1, max(1, (m - 1) // 2)))
+    b = length_bound(m, r)
+    n = data.draw(st.integers(1, b) | st.integers(max(1, b * 3 // 5), b))
+    width = _closing_width(m, r, n)
+    event({m: "m", 2 * r: "2r", 2 * r + 1: "2r+1"}[width])
+    assert width == _narrowest_fitting_width(m, r, n)
+
+
+# The largest deviation of rcbba's codes at seeds 0-2 on each grid point.
+_GRID_MAX_DEVIATION = {
+    (10, 4, 150): 6, (12, 3, 150): 4, (12, 4, 150): 5, (12, 4, 350): 6,
+    (14, 3, 150): 22, (14, 3, 350): 6, (14, 4, 150): 14, (14, 4, 350): 4,
+    (14, 4, 550): 4, (14, 4, 750): 6, (14, 4, 950): 10,
+}
+
+
+def test_rcbba_grid_deviation_is_pinned():
+    deviations = {
+        request: max(balance_of(rcbba(*request, seed=seed)).deviation for seed in range(3))
+        for request in BBA_GRID
+    }
+    assert deviations == _GRID_MAX_DEVIATION
 
 
 class _GlobalUnionCombiner(_RecursiveCombiner):
