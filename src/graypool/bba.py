@@ -38,6 +38,8 @@ from .errors import BudgetExhaustedError, InfeasibleError
 from .validate import validate
 
 DEFAULT_BUDGET = 10**6
+# The oracles' default, kept here so the CLI parser need not import graypool.oracle.
+DEFAULT_NODE_LIMIT = 10**7
 
 
 def balance_target(m: int, r: int, n: int) -> tuple[int, ...]:

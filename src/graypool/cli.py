@@ -4,13 +4,18 @@ Exit codes: 0 success, 1 validation failure, 2 construction failure,
 3 usage or input error. Every file written via --out gets a sidecar
 ``<file>.manifest.json`` recording the full parameter set and the output
 digest, so runs can be reproduced bit for bit.
+
+A subcommand's modules load on first use, so a one-shot process compiles
+only what it runs. The library names the subcommands call (``PoolDecoder``,
+``simulate_sweep``, ...) stay attributes of this module: reading one from
+outside loads its module, and a name a caller has already set, such as a
+tracer's wrapper, is the one the subcommand calls.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 import time
@@ -20,13 +25,30 @@ from . import __version__
 from .codes import (
     code_to_json, code_to_json_dict, length_bound, load_code, mask_from_indices, save_code
 )
-from .bba import DEFAULT_BUDGET, bba
-from .decode import PoolDecoder, partition_items
+from .bba import DEFAULT_BUDGET, DEFAULT_NODE_LIMIT, bba
 from .errors import ConstructionError
-from .oracle import DEFAULT_NODE_LIMIT, exhaustive_best_balance, exhaustive_max
-from .recombine import build_maximal, rcbba_detailed
-from .simulate import simulate_sweep, sweep_to_csv
 from .validate import validate
+
+# The package's names that subcommands bind on first use, through ``_bind``.
+_LAZY = (
+    "PoolDecoder", "partition_items", "build_maximal", "rcbba_detailed",
+    "exhaustive_max", "exhaustive_best_balance", "simulate_sweep", "sweep_to_csv",
+)
+
+
+def _bind(*names: str) -> None:
+    """Set each of ``names`` on this module from the package, unless already set."""
+    package = sys.modules[__package__]
+    for name in names:
+        if name not in globals():
+            globals()[name] = getattr(package, name)
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(name)
+    return globals()[name]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,6 +68,8 @@ def _parse_indices(text: str) -> list[int]:
 def _write_manifest(out_path: Path, args: argparse.Namespace, started: float) -> None:
     """Write ``<out_path>.manifest.json``: the subcommand's parsed arguments,
     all but ``--out``, and the output's digest."""
+    import hashlib
+
     digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
     params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     manifest = {
@@ -103,6 +127,7 @@ def cmd_construct(args) -> int:
         args.budget = DEFAULT_BUDGET
     extra = None
     if args.alg == "maximal":
+        _bind("build_maximal")
         code = build_maximal(args.m, args.r, seed=args.seed)
     else:
         if args.n is None:
@@ -121,6 +146,7 @@ def cmd_construct(args) -> int:
                 time_limit=args.time_limit,
             )
         else:
+            _bind("rcbba_detailed")
             code, trace = rcbba_detailed(
                 args.m,
                 args.r,
@@ -142,6 +168,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    _bind("PoolDecoder")
     code = load_code(args.code)
     decoder = PoolDecoder(code)
     result = decoder.decode(_parse_indices(args.positives), allow_single=not args.no_single)
@@ -150,6 +177,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _bind("simulate_sweep", "sweep_to_csv")
     started = time.monotonic()
     code = load_code(args.code)
     records = simulate_sweep(
@@ -171,6 +199,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _bind("exhaustive_max", "exhaustive_best_balance")
     if args.oracle_cmd == "max":
         result = exhaustive_max(args.m, args.r, node_limit=args.node_limit)
         print(
@@ -191,6 +220,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    _bind("partition_items")
     groups = partition_items(args.n_items, args.d)
     print(json.dumps([list(g) for g in groups]))
     return 0

@@ -242,7 +242,7 @@ class PoolDecoder:
         self.code = code
         self.m = code.m
         self.r = r = code.r
-        self.addr_masks = list(code.bitmasks())
+        self.addr_masks = list(code.masks)
         self.union_masks = _unions(self.addr_masks)
         self.union_index = {u: j + 1 for j, u in enumerate(self.union_masks)}
         self.addr_index = {a: j + 1 for j, a in enumerate(self.addr_masks)}

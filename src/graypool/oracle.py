@@ -17,11 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .bba import SearchBudget, _check_request, _path_search
+from .bba import DEFAULT_NODE_LIMIT, SearchBudget, _check_request, _path_search
 from .codes import GrayCode, length_bound, _check_pool_count, _set_bits
 from .errors import BudgetExhaustedError
-
-DEFAULT_NODE_LIMIT = 10**7
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ def _repeats(masks: Iterable[int], constraint: str) -> list[Violation]:
 
 def validate(code: GrayCode) -> ValidationReport:
     """Check every code constraint and report all violations found."""
-    masks = code.bitmasks()
+    masks = code.masks
     n = len(masks)
     violations = _repeats(masks, DISTINCT_ADDRESSES)
 
