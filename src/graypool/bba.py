@@ -5,26 +5,28 @@ addresses and the weight-(r+1) unions of adjacent addresses: from an
 address the path steps to one of its unused unions, and from a union to one
 of its unused weight-r subsets. ``_path_search`` is the one depth-first
 walk over that graph. It keeps the path, the set of addresses and unions
-the path uses, and, for the searches whose hooks read it, the path's
-per-pool occupancy, which it returns with the path. It charges every
-address it enters to a ``SearchBudget`` and takes two hooks: the candidate
-order at the tip and a goal test. An order that yields nothing ends the
-branch, so a bound is part of the order. bba runs it, and so do both
-exhaustive oracles in ``graypool.oracle``.
+the path uses, and, for the searches whose hooks read it, a per-pool
+vector that starts where the search says and counts the path's occupancy
+on top, which it returns with the path. It charges every address it enters
+to a ``SearchBudget`` and takes two hooks: the candidate order at the tip
+and a goal test. An order that yields nothing ends the branch, so a bound
+is part of the order. bba runs it, and so do both exhaustive oracles in
+``graypool.oracle``.
 
-bba orders candidates to keep pool usage level. From an address ``a`` the
-union ``a | {z}`` is ranked by ``w[z] - target[z]`` ascending, and from a
-union ``u`` the address ``u`` minus ``{x}`` by ``target[x] - w[x]``
-ascending, where ``w`` is the occupancy of the path so far and ``target``
-the per-pool occupancy target; ties go to the smaller mask. This per-pool
-key orders the candidates exactly as the variance of ``target`` minus the
-occupancy of the path extended by the candidate would, since the
-candidates differ in one pool. The first union after the start address is
-drawn at random. The order hook returns a lazy iterator that charges each
-union when it reaches it, yielded addresses or not, so union and address
-visits both count against the budget, which makes runs deterministic and
-hardware independent. A path that reaches n addresses is the code; a dead
-end backtracks.
+bba orders candidates to keep pool usage level. Its vector starts at minus
+the per-pool occupancy target, so ``w[z]`` is pool z's occupancy less its
+target. From an address ``a`` the union ``a | {z}`` is ranked by ``w[z]``
+ascending, and from a union ``u`` the address ``u`` minus ``{x}`` by
+``w[x]`` descending; ties go to the smaller mask. This per-pool key orders
+the candidates exactly as the variance of ``target`` minus the occupancy of
+the path extended by the candidate would, since the candidates differ in
+one pool. The first union after the start address is drawn at random. The
+order is lazy: it finds the best union and address by ``min`` and ``max``
+and sorts the rest only on backtrack. It charges each union when it opens
+it, yielded addresses or not, so union and address visits both count
+against the budget, which makes runs deterministic and hardware
+independent. A path that reaches n addresses is the code; a dead end
+backtracks.
 """
 
 from __future__ import annotations
@@ -106,30 +108,30 @@ def _path_search(
     budget: SearchBudget,
     order: Callable[[list[int], set[int], list[int] | None], Iterable[int]],
     goal: Callable[[list[int], list[int] | None], bool],
-    occupancy: bool = True,
+    occupancy: list[int] | None,
 ) -> tuple[list[int], list[int] | None] | None:
     """Depth-first search over the address paths that begin at ``start``.
 
     ``order(path, used, w)`` yields the addresses ``b`` to try after the
     path's tip, best first, leaving out those the path already uses and
     those whose union ``tip | b`` it uses. ``used`` holds the path's
-    addresses and unions (their weights differ) and ``w`` its per-pool
-    occupancy, or None when ``occupancy`` is false, which saves its upkeep
-    on every visit for a search whose hooks never read it. The kernel
-    consumes ``order`` lazily, and the path is back in the same state each
-    time it asks for the next address. Every address entered, ``start``
-    included, is charged to ``budget`` before ``goal(path, w)`` is asked; a
-    true goal ends the search and returns the path. Otherwise the path is
-    extended by what ``order`` yields, and an order that yields nothing ends
-    the branch: that is how a search bounds its paths. Returns the path and
-    its occupancy ``w`` (None without ``occupancy``), or None once every
-    path from ``start`` is exhausted. ``order`` may return a lazy
-    iterator and charge visits of its own: bba's charges each union when the
-    iterator reaches it.
+    addresses and unions (their weights differ). ``w`` is ``occupancy``, a
+    per-pool start vector of length m that the kernel owns and keeps, in
+    place, at its start values plus the path's occupancy; or None, which
+    saves that upkeep on every visit for a search whose hooks never read it.
+    The kernel consumes ``order`` lazily, and the path is back in the same
+    state each time it asks for the next address. Every address entered,
+    ``start`` included, is charged to ``budget`` before ``goal(path, w)`` is
+    asked; a true goal ends the search and returns the path. Otherwise the
+    path is extended by what ``order`` yields, and an order that yields
+    nothing ends the branch: that is how a search bounds its paths. Returns
+    the path and ``w``, or None once every path from ``start`` is exhausted.
+    ``order`` may return a lazy iterator and charge visits of its own: bba's
+    charges each union when the iterator reaches it.
     """
     path: list[int] = []
     used: set[int] = set()
-    w = [0] * m if occupancy else None
+    w = occupancy
     spend, enter, leave = budget.spend, used.add, used.discard
     # Per path address, plus one ahead of the start: the candidates not yet
     # tried. The start is its own union, which keeps the loop uniform.
@@ -163,44 +165,49 @@ def _path_search(
 
 
 def _balance_order(
-    m: int, target: Sequence[int], rng: random.Random, budget: SearchBudget
+    m: int, rng: random.Random, budget: SearchBudget
 ) -> Callable[[list[int], set[int], list[int]], Iterator[int]]:
     """bba's candidate order: unions, then their addresses, by the per-pool key.
 
-    At the start address the first union is drawn from ``rng`` and the rest
-    follow by key. The order is one generator over the sorted unions; it
-    charges each union to ``budget`` when it opens it, yielded addresses or
-    not. The generator keeps the unions as plain ints and keys a union's
-    addresses only when it reaches it: every open path frame holds one
-    generator, rcbba's long blocks hold thousands of frames, and keeping the
-    keyed union tuples there instead raises the peak memory of rcbba's long
-    codes by about 15%.
+    The first union is drawn from ``rng`` at the start address and is the
+    ``min`` by key elsewhere; a union's first address is the ``max``. The
+    rest are keyed and sorted only when the search asks for them, after a
+    backtrack, or when that first one is already used, so a search that
+    never backtracks builds no list of unions. Each union is charged to
+    ``budget`` when it is opened, yielded addresses or not. One generator
+    serves a visit: every open path frame holds one, and rcbba's long
+    blocks hold thousands.
     """
     full = (1 << m) - 1
     spend = budget.spend
 
-    def addresses(unions: list[int], used: set[int], w: list[int]) -> Iterator[int]:
-        for u in unions:
-            spend()
-            keyed = [(target[x] - w[x], b) for x in _set_bits(u) if (b := u ^ 1 << x) not in used]
-            # Popping a reverse sort yields by ascending key and drops each
-            # tuple as it goes.
-            if len(keyed) > 1:
-                keyed.sort(reverse=True)
-            while keyed:
-                yield keyed.pop()[1]
-
     def order(path: list[int], used: set[int], w: list[int]) -> Iterator[int]:
         a = path[-1]
-        keyed = [
-            (w[z] - target[z], u) for z in _set_bits(full ^ a) if (u := a | 1 << z) not in used
-        ]
-        first = keyed.pop(rng.randrange(len(keyed))) if len(path) == 1 and keyed else None
-        keyed.sort()
-        unions = [u for _, u in keyed]
-        if first is not None:
-            unions.insert(0, first[1])
-        return addresses(unions, used, w)
+        # The pools outside the tip are listed again on backtrack, not kept in
+        # the open frame, whose memory then does not grow with m.
+        if len(path) == 1:
+            z = _set_bits(full ^ a)[rng.randrange(m - a.bit_count())]
+        else:
+            z = min(_set_bits(full ^ a), key=w.__getitem__)
+        unions = None
+        while True:
+            # Only the first union can be used already; the rest are fresh.
+            u = a | 1 << z
+            if u not in used:
+                spend()
+                pools = _set_bits(u)[::-1]
+                x = max(pools, key=w.__getitem__)
+                if u ^ 1 << x not in used:
+                    yield u ^ 1 << x
+                rest = [y for y in pools if y != x and u ^ 1 << y not in used]
+                for y in sorted(rest, key=w.__getitem__, reverse=True):
+                    yield u ^ 1 << y
+            if unions is None:
+                others = [y for y in _set_bits(full ^ a) if y != z and a | 1 << y not in used]
+                unions = iter(sorted(others, key=w.__getitem__))
+            z = next(unions, -1)
+            if z < 0:
+                return
 
     return order
 
@@ -232,11 +239,13 @@ def _construct_masks(
     """
     if first_mask is None:
         first_mask = sum(1 << p for p in rng.sample(range(m), r))
-    order = _balance_order(m, target, rng, budget)
-    found = _path_search(m, first_mask, budget, order, lambda path, w: len(path) == n)
+    order = _balance_order(m, rng, budget)
+    start = [-t for t in target]
+    found = _path_search(m, first_mask, budget, order, lambda path, w: len(path) == n, start)
     if found is None:
         raise RuntimeError(f"internal error: search exhausted for ({m},{r},{n})")
-    return found
+    masks, w = found
+    return masks, [d + t for d, t in zip(w, target)]
 
 
 def bba(

@@ -67,14 +67,15 @@ def _search(
     node_limit: int,
     order: Callable[[list[int], set[int], list[int] | None], Sequence[int]],
     goal: Callable[[list[int], list[int] | None], bool],
-    occupancy: bool = True,
+    occupancy: list[int] | None,
 ) -> tuple[bool, int]:
     """Run the kernel from {1..r} until ``goal`` holds or every path is done.
 
     One start is complete: relabelling the pools carries any weight-r
     address onto {1..r} and keeps codes valid and their deviation, so
     completeness comes from pool symmetry, not from trying every start.
-    The kernel keeps the occupancy ``w`` only when ``occupancy`` is true.
+    The kernel keeps the occupancy ``w``, from the start vector
+    ``occupancy``, only when that is not None.
     Returns whether the search finished within ``node_limit`` and the
     number of nodes it visited.
     """
@@ -105,7 +106,7 @@ def exhaustive_max(m: int, r: int, node_limit: int = DEFAULT_NODE_LIMIT) -> Orac
             best[:] = path
         return len(best) == bound
 
-    exact, nodes = _search(m, r, node_limit, _index_order(m), goal, occupancy=False)
+    exact, nodes = _search(m, r, node_limit, _index_order(m), goal, None)
     return OracleResult(len(best), GrayCode(m, r, tuple(best)), nodes, exact)
 
 
@@ -149,7 +150,7 @@ def exhaustive_best_balance(
             return ()
         return index_order(path, used, w)
 
-    exact, _ = _search(m, r, node_limit, order, goal)
+    exact, _ = _search(m, r, node_limit, order, goal, [0] * m)
     if not exact:
         partial = GrayCode(m, r, tuple(best_code)) if best_code is not None else None
         raise BudgetExhaustedError(

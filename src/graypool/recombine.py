@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, takewhile
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bba import (
     DEFAULT_BUDGET,
@@ -77,12 +77,13 @@ def apply_row_permutation(code: GrayCode, perm: Sequence[int]) -> GrayCode:
     """Relabel pools: pool i of the input becomes pool ``perm[i-1]`` of the output."""
     if sorted(perm) != list(range(1, code.m + 1)):
         raise ValueError(f"not a permutation of 1..{code.m}: {list(perm)}")
-    table = [p - 1 for p in perm]
-    return GrayCode(code.m, code.r, [_remap_mask(bits, table) for bits in code.masks])
+    return GrayCode(code.m, code.r, _remap_masks(code.masks, [p - 1 for p in perm]))
 
 
-def _remap_mask(mask: int, table: Sequence[int]) -> int:
-    return sum(1 << table[i] for i in _set_bits(mask))
+def _remap_masks(masks: Iterable[int], table: Sequence[int]) -> list[int]:
+    """Relabel each mask's pools: pool i becomes pool ``table[i]``."""
+    bit = [1 << p for p in table].__getitem__
+    return [sum(map(bit, _set_bits(mask))) for mask in masks]
 
 
 def flip_complement(code: GrayCode, closing: int) -> GrayCode:
@@ -234,7 +235,7 @@ class _RecursiveCombiner:
         ones = 1 << (width - 1)
         first = elem[0] | ones
         table = _pool_table(first, first if join_mask is None else join_mask, self.active, self.m)
-        self.masks.extend(_remap_mask(bits | ones, table) for bits in elem)
+        self.masks += _remap_masks((bits | ones for bits in elem), table)
         charged = list(zip(table, [*counts, comp_len]))
         for pool, count in charged:
             self.w_res[pool] -= count
@@ -264,7 +265,7 @@ class _RecursiveCombiner:
         table = _pool_table(start, start if join_mask is None else join_mask, self.active, self.m)
         target = tuple(self.w_res[table[i]] for i in range(width))
         elem, counts = _construct_masks(width, self.r, need, start, target, self.rng, self.budget)
-        self.masks.extend(_remap_mask(bits, table) for bits in elem)
+        self.masks += _remap_masks(elem, table)
         self.lengths.append(need)
         self.final_target = target
         self.final_balance = tuple(counts)
@@ -440,11 +441,10 @@ def _maximal_with_closing(m, r, rng) -> tuple[GrayCode, int]:
             # Relabel the heavy code so that it starts on the light code's
             # closing union; every pool stays in use.
             table = _pool_table(heavy.masks[0], light_closing, (1 << (mm - 1)) - 1, mm - 1)
-            heavy = GrayCode(mm - 1, rr, tuple(_remap_mask(x, table) for x in heavy.masks))
-            code = combine_pair(light, heavy)
             # The heavy code's closing union survives the relabelling, with the
             # appended row at zero.
-            closing = _remap_mask(heavy_closing, table)
+            *masks, closing = _remap_masks((*heavy.masks, heavy_closing), table)
+            code = combine_pair(light, GrayCode(mm - 1, rr, masks))
         built[mm, rr] = code, closing
     return built[m, r]
 
@@ -475,10 +475,8 @@ def _maximal_base(m, r, rng) -> tuple[GrayCode, int]:
     closing = cycles[start][0]
     path = list(takewhile(lambda v: v != closing, _around(cycles, closing, start)))
     perm = rng.sample(range(m), m)
-    return (
-        GrayCode(m, r, tuple(_remap_mask(a, perm) for a in path[::2])),
-        _remap_mask(closing, perm),
-    )
+    *masks, closing = _remap_masks((*path[::2], closing), perm)
+    return GrayCode(m, r, masks), closing
 
 
 def _perfect_matching(addresses, ups) -> dict[int, int]:

@@ -1,8 +1,12 @@
 import importlib
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import chain, combinations, repeat
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -46,6 +50,10 @@ def test_balance_penalty_values():
     assert balance_penalty((1, 0, 1, 0), (0, 0, 0, 0)) == Fraction(1, 4)
 
 
+def _less(w, target):
+    return [o - t for o, t in zip(w, target)]
+
+
 def _tip_state(data):
     """A random tip and the path state around it: (m, tip, used, target, w)."""
     m = data.draw(st.integers(min_value=3, max_value=8))
@@ -83,8 +91,9 @@ def test_per_pool_key_orders_like_the_balance_penalty(data):
     ]
     budget = SearchBudget(10**6)
     # A path longer than the start alone keeps the random first draw out.
-    order = _balance_order(m, target, random.Random(0), budget)
-    assert list(order([0, tip], used, w)) == expected
+    # The order reads each pool's occupancy less its target.
+    order = _balance_order(m, random.Random(0), budget)
+    assert list(order([0, tip], used, _less(w, target))) == expected
     # Each union opened is charged.
     opened = sum(1 for z in range(m) if not tip >> z & 1 and tip | 1 << z not in used)
     assert budget.spent == opened
@@ -102,15 +111,17 @@ def test_balance_order_charges_each_union_when_it_opens_it(data):
     )
     position = {u: i for i, (_, u) in enumerate(unions)}
     budget = SearchBudget(10**6)
-    order = _balance_order(m, target, random.Random(0), budget)
-    for b in order([0, tip], used, w):
+    order = _balance_order(m, random.Random(0), budget)
+    for b in order([0, tip], used, _less(w, target)):
         assert budget.spent == position[tip | b] + 1
     assert budget.spent == len(unions)
 
 
 def _chained_balance_order(m, target, rng, budget):
-    """bba's candidate order as a chain of per-union address lists: the
-    reference that the one-generator ``_balance_order`` must match."""
+    """bba's candidate order as a chain of per-union address lists, every
+    union and address keyed and sorted up front on the occupancy
+    ``w + target``: the reference that the lazy ``_balance_order``, which
+    reads ``w`` itself, must match."""
     full = (1 << m) - 1
 
     def addresses(u, used, w):
@@ -120,6 +131,7 @@ def _chained_balance_order(m, target, rng, budget):
         return [b for _, b in keyed]
 
     def order(path, used, w):
+        w = [d + t for d, t in zip(w, target)]
         a = path[-1]
         keyed = [
             (w[z] - target[z], u) for z in _set_bits(full ^ a) if (u := a | 1 << z) not in used
@@ -132,6 +144,36 @@ def _chained_balance_order(m, target, rng, budget):
         return chain.from_iterable(map(addresses, unions, repeat(used), repeat(w)))
 
     return order
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_balance_order_falls_back_like_the_chained_reference(data):
+    # The lazy order opens the key-best union, and in each union the
+    # key-best address, before it sorts anything. Mark some of those used,
+    # with keys from a narrow range so that ties are common: the order must
+    # still yield, and charge, exactly as the eager reference does.
+    m = data.draw(st.integers(min_value=3, max_value=8))
+    r = data.draw(st.integers(min_value=1, max_value=m - 1))
+    pools = st.sets(st.integers(0, m - 1), min_size=r, max_size=r)
+    tip = sum(1 << i for i in data.draw(pools))
+    w = data.draw(st.lists(st.integers(-2, 1), min_size=m, max_size=m))
+    target = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    outside = _set_bits(((1 << m) - 1) ^ tip)
+    used = {tip} | {sum(1 << i for i in s) for s in data.draw(st.lists(pools, max_size=4))}
+    if data.draw(st.booleans()):
+        used.add(tip | 1 << min(outside, key=w.__getitem__))
+    for z in data.draw(st.sets(st.sampled_from(outside))):
+        u = tip | 1 << z
+        used.add(u ^ 1 << max(reversed(_set_bits(u)), key=w.__getitem__))
+
+    def run(order):
+        budget = SearchBudget(10**6)
+        yields = [(b, budget.spent) for b in order(budget)([0, tip], used, w)]
+        return yields, budget.spent
+
+    lazy = run(lambda budget: _balance_order(m, random.Random(0), budget))
+    assert lazy == run(lambda budget: _chained_balance_order(m, target, random.Random(0), budget))
 
 
 # The module, not the ``bba`` function that ``graypool.bba`` names as an attribute.
@@ -170,7 +212,10 @@ def test_balance_order_matches_the_chained_reference(data):
                 outcome = type(exc)
         return outcome, budget.spent
 
-    assert run(_balance_order) == run(_chained_balance_order)
+    def chained(m, rng, budget):
+        return _chained_balance_order(m, target, rng, budget)
+
+    assert run(_balance_order) == run(chained)
 
 
 def _every_start_masks(m, r, n, first, target, rng, budget):
@@ -180,12 +225,14 @@ def _every_start_masks(m, r, n, first, target, rng, budget):
     code exists."""
     if first is None:
         first = sum(1 << p for p in rng.sample(range(m), r))
-    order = _balance_order(m, target, rng, budget)
+    order = _balance_order(m, rng, budget)
     others = (sum(1 << c for c in combo) for combo in combinations(range(m), r))
     for start in chain((first,), (a for a in others if a != first)):
-        found = _path_search(m, start, budget, order, lambda path, w: len(path) == n)
+        start_w = [-t for t in target]
+        found = _path_search(m, start, budget, order, lambda path, w: len(path) == n, start_w)
         if found is not None:
-            return found
+            masks, w = found
+            return masks, [d + t for d, t in zip(w, target)]
     return None
 
 
@@ -372,3 +419,24 @@ def test_moderate_instances_stay_balanced(m, r, n):
     assert report.is_valid
     assert code.n == n
     assert report.balance.deviation <= 8
+
+
+# Caps its own address space at 300 MB, then builds a code over a million pools.
+_WIDE_REQUEST = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+from graypool import bba
+print(bba(10**6, 1, 3).n)
+"""
+
+
+def test_a_wide_request_builds_in_seconds_and_bounded_memory():
+    # The order finds its best union by one pass over the pools outside the
+    # tip and builds no union it does not open, so a wide request that never
+    # backtracks needs memory linear in m, not an m-bit union per pool.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _WIDE_REQUEST],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "3\n"), proc.stderr
