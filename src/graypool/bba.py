@@ -103,7 +103,6 @@ def _checked(code: GrayCode, n: int) -> GrayCode:
 
 
 def _path_search(
-    m: int,
     start: int,
     budget: SearchBudget,
     order: Callable[[list[int], set[int], list[int] | None], Iterable[int]],
@@ -116,18 +115,18 @@ def _path_search(
     path's tip, best first, leaving out those the path already uses and
     those whose union ``tip | b`` it uses. ``used`` holds the path's
     addresses and unions (their weights differ). ``w`` is ``occupancy``, a
-    per-pool start vector of length m that the kernel owns and keeps, in
-    place, at its start values plus the path's occupancy; or None, which
-    saves that upkeep on every visit for a search whose hooks never read it.
-    The kernel consumes ``order`` lazily, and the path is back in the same
-    state each time it asks for the next address. Every address entered,
-    ``start`` included, is charged to ``budget`` before ``goal(path, w)`` is
-    asked; a true goal ends the search and returns the path. Otherwise the
-    path is extended by what ``order`` yields, and an order that yields
-    nothing ends the branch: that is how a search bounds its paths. Returns
-    the path and ``w``, or None once every path from ``start`` is exhausted.
-    ``order`` may return a lazy iterator and charge visits of its own: bba's
-    charges each union when the iterator reaches it.
+    per-pool start vector that the kernel owns and keeps, in place, at its
+    start values plus the path's occupancy; or None, which saves that upkeep
+    on every visit for a search whose hooks never read it. The kernel
+    consumes ``order`` lazily, and the path is back in the same state each
+    time it asks for the next address. Every address entered, ``start``
+    included, is charged to ``budget`` before ``goal(path, w)`` is asked; a
+    true goal ends the search and returns the path. Otherwise the path is
+    extended by what ``order`` yields, and an order that yields nothing ends
+    the branch: that is how a search bounds its paths. Returns the path and
+    ``w``, or None once every path from ``start`` is exhausted. ``order``
+    may return a lazy iterator and charge visits of its own: bba's charges
+    each union when the iterator reaches it.
     """
     path: list[int] = []
     used: set[int] = set()
@@ -241,7 +240,7 @@ def _construct_masks(
         first_mask = sum(1 << p for p in rng.sample(range(m), r))
     order = _balance_order(m, rng, budget)
     start = [-t for t in target]
-    found = _path_search(m, first_mask, budget, order, lambda path, w: len(path) == n, start)
+    found = _path_search(first_mask, budget, order, lambda path, w: len(path) == n, start)
     if found is None:
         raise RuntimeError(f"internal error: search exhausted for ({m},{r},{n})")
     masks, w = found

@@ -6,10 +6,11 @@ Exit codes: 0 success, 1 validation failure, 2 construction failure,
 digest, so runs can be reproduced bit for bit.
 
 A subcommand's modules load on first use, so a one-shot process compiles
-only what it runs. The library names the subcommands call (``PoolDecoder``,
-``simulate_sweep``, ...) stay attributes of this module: reading one from
-outside loads its module, and a name a caller has already set, such as a
-tracer's wrapper, is the one the subcommand calls.
+only what it runs. The package's lazily loaded names (``graypool._LAZY``:
+``PoolDecoder``, ``simulate_sweep``, ...) read as attributes of this module,
+and the subcommands call them that way. One nobody has set resolves through
+the package, which loads its submodule; one a caller has set, such as a
+tracer's wrapper, is the one called.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
+from . import _LAZY, __version__
 from .codes import (
     code_to_json, code_to_json_dict, length_bound, load_code, mask_from_indices, save_code
 )
@@ -29,26 +30,14 @@ from .bba import DEFAULT_BUDGET, DEFAULT_NODE_LIMIT, bba
 from .errors import ConstructionError
 from .validate import validate
 
-# The package's names that subcommands bind on first use, through ``_bind``.
-_LAZY = (
-    "PoolDecoder", "partition_items", "build_maximal", "rcbba_detailed",
-    "exhaustive_max", "exhaustive_best_balance", "simulate_sweep", "sweep_to_csv",
-)
-
-
-def _bind(*names: str) -> None:
-    """Set each of ``names`` on this module from the package, unless already set."""
-    package = sys.modules[__package__]
-    for name in names:
-        if name not in globals():
-            globals()[name] = getattr(package, name)
+# This module, through which the subcommands call the package's lazy names.
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(name)
-    return globals()[name]
+    return getattr(sys.modules[__package__], name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,8 +116,7 @@ def cmd_construct(args) -> int:
         args.budget = DEFAULT_BUDGET
     extra = None
     if args.alg == "maximal":
-        _bind("build_maximal")
-        code = build_maximal(args.m, args.r, seed=args.seed)
+        code = _cli.build_maximal(args.m, args.r, seed=args.seed)
     else:
         if args.n is None:
             raise ValueError("--n is required for bba and rcbba")
@@ -146,8 +134,7 @@ def cmd_construct(args) -> int:
                 time_limit=args.time_limit,
             )
         else:
-            _bind("rcbba_detailed")
-            code, trace = rcbba_detailed(
+            code, trace = _cli.rcbba_detailed(
                 args.m,
                 args.r,
                 args.n,
@@ -168,19 +155,17 @@ def cmd_validate(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    _bind("PoolDecoder")
     code = load_code(args.code)
-    decoder = PoolDecoder(code)
+    decoder = _cli.PoolDecoder(code)
     result = decoder.decode(_parse_indices(args.positives), allow_single=not args.no_single)
     print(json.dumps(result.to_json_dict(), indent=2))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    _bind("simulate_sweep", "sweep_to_csv")
     started = time.monotonic()
     code = load_code(args.code)
-    records = simulate_sweep(
+    records = _cli.simulate_sweep(
         code,
         args.max_errors,
         mode=args.mode,
@@ -188,7 +173,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         error_type=args.error_type,
     )
-    text = sweep_to_csv(records)
+    text = _cli.sweep_to_csv(records)
     if args.out is None:
         print(text, end="")
         return 0
@@ -199,9 +184,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _bind("exhaustive_max", "exhaustive_best_balance")
     if args.oracle_cmd == "max":
-        result = exhaustive_max(args.m, args.r, node_limit=args.node_limit)
+        result = _cli.exhaustive_max(args.m, args.r, node_limit=args.node_limit)
         print(
             json.dumps(
                 {
@@ -214,14 +198,13 @@ def cmd_oracle(args) -> int:
             )
         )
         return 0
-    code = exhaustive_best_balance(args.m, args.r, args.n, node_limit=args.node_limit)
+    code = _cli.exhaustive_best_balance(args.m, args.r, args.n, node_limit=args.node_limit)
     print(code_to_json(code), end="")
     return 0
 
 
 def cmd_partition(args) -> int:
-    _bind("partition_items")
-    groups = partition_items(args.n_items, args.d)
+    groups = _cli.partition_items(args.n_items, args.d)
     print(json.dumps([list(g) for g in groups]))
     return 0
 

@@ -83,7 +83,7 @@ def _search(
         raise ValueError(f"node limit must be positive, got {node_limit}")
     budget = SearchBudget(node_limit)
     try:
-        _path_search(m, (1 << r) - 1, budget, order, goal, occupancy)
+        _path_search((1 << r) - 1, budget, order, goal, occupancy)
     except BudgetExhaustedError:
         return False, budget.spent
     return True, budget.spent

@@ -229,7 +229,7 @@ def _every_start_masks(m, r, n, first, target, rng, budget):
     others = (sum(1 << c for c in combo) for combo in combinations(range(m), r))
     for start in chain((first,), (a for a in others if a != first)):
         start_w = [-t for t in target]
-        found = _path_search(m, start, budget, order, lambda path, w: len(path) == n, start_w)
+        found = _path_search(start, budget, order, lambda path, w: len(path) == n, start_w)
         if found is not None:
             masks, w = found
             return masks, [d + t for d, t in zip(w, target)]

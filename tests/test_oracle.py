@@ -47,7 +47,7 @@ def test_max_search_visits_the_same_paths_without_occupancy(m, r, limit):
             return False
 
         try:
-            found = _path_search(m, (1 << r) - 1, budget, _index_order(m), goal, occupancy)
+            found = _path_search((1 << r) - 1, budget, _index_order(m), goal, occupancy)
         except BudgetExhaustedError:
             found = "limit"
         return found, budget.spent, lengths
@@ -133,7 +133,7 @@ def _every_start_best_balance(m, r, n, node_limit):
     try:
         for combo in combinations(range(m), r):
             start = sum(1 << c for c in combo)
-            if _path_search(m, start, budget, order, goal, [0] * m) is not None:
+            if _path_search(start, budget, order, goal, [0] * m) is not None:
                 break
     except BudgetExhaustedError:
         return None

@@ -155,3 +155,59 @@ def test_names_set_on_the_cli_before_first_use_are_the_ones_it_calls(tmp_path, c
     assert wrapped == {"PoolDecoder": 1, "simulate_sweep": 1}
     assert after_restore == wrapped  # the restored originals ran instead
     assert same_output
+
+
+# Sets a counting wrapper on graypool.cli for each lazy name a subcommand
+# calls, before any first use, runs every subcommand that calls one, and
+# prints the counts and the exit codes.
+EVERY_LAZY_NAME = """
+import contextlib, io, json, sys
+import graypool, graypool.cli as cli
+
+NAMES = ("rcbba_detailed", "build_maximal", "PoolDecoder", "simulate_sweep", "sweep_to_csv",
+         "exhaustive_max", "exhaustive_best_balance", "partition_items")
+calls = dict.fromkeys(NAMES, 0)
+
+def counting(name, fn):
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+for name in NAMES:
+    setattr(cli, name, counting(name, getattr(graypool, name)))
+code = sys.argv[1]
+runs = [
+    ["construct", "--alg", "maximal", "--m", "4", "--r", "2"],
+    ["construct", "--alg", "rcbba", "--m", "8", "--r", "3", "--n", "30"],
+    ["decode", "--code", code, "--positives", "1,2,3"],
+    ["simulate", "--code", code, "--max-errors", "1"],
+    ["oracle", "max", "--m", "4", "--r", "2"],
+    ["oracle", "balance", "--m", "5", "--r", "2", "--n", "5"],
+    ["partition", "--n-items", "6", "--d", "3"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+print(json.dumps([calls, codes]))
+"""
+
+
+def test_a_wrapper_set_on_the_cli_is_called_for_every_lazy_name(tmp_path, code_5_2_10):
+    path = tmp_path / "c.json"
+    save_code(code_5_2_10, path)
+    calls, codes = json.loads(_fresh(EVERY_LAZY_NAME, str(path)))
+    assert codes == [0] * 7
+    assert list(calls.values()) == [1] * 8
+
+
+def test_an_unknown_cli_attribute_names_the_cli_module():
+    with pytest.raises(AttributeError, match="module 'graypool.cli' has no attribute 'nothing'"):
+        import_module("graypool.cli").nothing
+
+
+def test_the_cli_module_runs_as_main():
+    proc = subprocess.run(
+        [sys.executable, "-m", "graypool.cli", "partition", "--n-items", "6", "--d", "3"],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[[1, 2], [3, 4], [5, 6]]\n"), proc.stderr

@@ -7,7 +7,9 @@ of its grid below and hashes, in grid order, each request with its code
 masks (and rcbba's trace JSON), or with its error's type and message. Each
 line is a digest and the constructor it covers; two checkouts that print
 the same line build the same codes, traces and errors on that grid. The
-last line counts each constructor's outcomes by error kind.
+last line counts each constructor's outcomes by error kind. The requests
+run on one worker process per CPU, and the outcomes are hashed in grid
+order, so the lines do not depend on the number of CPUs.
 
 - rcbba: m = 3..14, every r in 1..m-1, n in {1, 2, 3, b//4, b//2, 3b//4,
   b-2, b-1, b} with n >= 1, where b is the length bound of (m, r); seeds
@@ -25,6 +27,8 @@ import hashlib
 import json
 import sys
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -85,21 +89,25 @@ CONSTRUCTORS = {
 }
 
 
+def outcome(name, request):
+    """The error kind, or ``built``, and the JSON record of one request."""
+    try:
+        result, kind = CONSTRUCTORS[name][1](*request), "built"
+    except ConstructionError as exc:
+        result, kind = {"error": type(exc).__name__, "message": str(exc)}, exc.kind
+    return kind, json.dumps({"request": list(request), **result}, sort_keys=True)
+
+
 def main() -> None:
     kinds: dict[str, Counter[str]] = {}
-    for name, (requests, run) in CONSTRUCTORS.items():
-        digest = hashlib.sha256()
-        kinds[name] = Counter()
-        for request in requests():
-            try:
-                outcome = run(*request)
-                kinds[name]["built"] += 1
-            except ConstructionError as exc:
-                outcome = {"error": type(exc).__name__, "message": str(exc)}
-                kinds[name][exc.kind] += 1
-            record = {"request": list(request), **outcome}
-            digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
-        print(f"{digest.hexdigest()}  {name}")
+    with ProcessPoolExecutor() as pool:
+        for name, (requests, _) in CONSTRUCTORS.items():
+            digest = hashlib.sha256()
+            kinds[name] = Counter()
+            for kind, record in pool.map(partial(outcome, name), requests()):
+                kinds[name][kind] += 1
+                digest.update(record.encode() + b"\n")
+            print(f"{digest.hexdigest()}  {name}")
     print(json.dumps({name: dict(sorted(c.items())) for name, c in kinds.items()}))
 
 
